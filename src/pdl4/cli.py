@@ -4,7 +4,8 @@ bounded countermodel search, and the built-in selftest.
 Exit status: 0 when the query holds (PROVED / globally satisfied / no
 bounded countermodel / selftest green), 1 when it fails (REFUTED, a
 countermodel exists, a check fails), 2 on usage, input or resource
-errors."""
+errors, 3 on an internal error (a prover or oracle consistency check
+failed, which indicates a defect, not an answer)."""
 from __future__ import annotations
 
 import argparse
@@ -20,6 +21,7 @@ from .oracle import (
     CeilingExceeded,
     DEFAULT_CEILING,
     EnumerationSpec,
+    OracleError,
     enumerate_models,
     find_model,
 )
@@ -53,11 +55,13 @@ from .syntax import (
     render,
 )
 from .tableau import (
+    TableauError,
     TableauLimits,
     prove_from_roots,
 )
 
 USAGE_ERROR = 2
+INTERNAL_ERROR = 3
 
 
 class CliError(Exception):
@@ -452,6 +456,9 @@ def run(argv: Sequence[str]) -> int:
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
+    except (TableauError, OracleError) as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return INTERNAL_ERROR
     except ValueError as exc:
         # covers model errors, signature clashes, bad numeric inputs
         print(f"error: {exc}", file=sys.stderr)

@@ -57,6 +57,11 @@ class CeilingExceeded(ValueError):
     """Exhaustive enumeration would exceed the configured ceiling."""
 
 
+class OracleError(RuntimeError):
+    """The vectorised scan and the model checker disagree on a model;
+    indicates an oracle defect."""
+
+
 @dataclass(frozen=True)
 class EnumerationSpec:
     """What to enumerate: a signature, a world bound, and either
@@ -414,7 +419,7 @@ def find_model(
             model = _decode(sig, n, combo)
             for sf in normalized:
                 if not globally_satisfies(model, sf):
-                    raise RuntimeError(
+                    raise OracleError(
                         "vectorised scan disagrees with the model checker; "
                         f"index {index} at {n} worlds"
                     )

@@ -28,46 +28,93 @@ parse time and re-sugared by the printer.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
-from typing import Iterable, Iterator, Union
+from dataclasses import dataclass, fields
+from typing import Iterable, Iterator, Optional, Union
 
 
 # ---------------------------------------------------------------------------
 # AST
 
 
-@dataclass(frozen=True)
-class Formula:
+class _Node:
+    """Shared behaviour of syntax nodes.
+
+    Each node computes two values once, at construction, from its
+    children's cached ones: its structural hash, equal to the hash the
+    dataclass would generate (the hash of the tuple of its fields), and
+    ``nominals``, the nominal names occurring in it (at atom or @
+    position) in leftmost-first order without repeats.  Hashing a node and
+    listing its nominals therefore cost O(1) at any depth.  Equality stays
+    the dataclass's structural comparison."""
+
+    _nominal_field: Optional[str] = None  # the field holding a nominal name
+    nominals: tuple[str, ...]
+
+    def __post_init__(self) -> None:
+        # The frozen dataclass __init__ has set exactly the fields, in
+        # declaration order; the caches go into the same instance dict.
+        state = self.__dict__
+        values = tuple(state.values())
+        found: tuple[str, ...] = ()
+        if self._nominal_field is not None:
+            found = (state[self._nominal_field],)
+        for value in values:
+            if isinstance(value, _Node) and value.nominals:
+                more = value.nominals
+                found = tuple(dict.fromkeys(found + more)) if found else more
+        state["_hash"] = hash(values)
+        state["nominals"] = found
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        # Rebuild from the fields: a cached string hash is only valid in
+        # the process that computed it.
+        return type(self), tuple(getattr(self, f.name) for f in fields(self))
+
+
+def _node(cls):
+    """Declare a syntax node: a frozen dataclass with the cached values."""
+    cls = dataclass(frozen=True)(cls)
+    cls.__hash__ = _Node.__hash__  # the dataclass installs a recursive one
+    return cls
+
+
+@_node
+class Formula(_Node):
     """Base class for formula nodes."""
 
     def __str__(self) -> str:
         return render(self)
 
 
-@dataclass(frozen=True)
-class Program:
+@_node
+class Program(_Node):
     """Base class for program nodes."""
 
     def __str__(self) -> str:
         return render_program(self)
 
 
-@dataclass(frozen=True)
+@_node
 class PropVar(Formula):
     name: str
 
 
-@dataclass(frozen=True)
+@_node
 class Nominal(Formula):
     name: str
 
+    _nominal_field = "name"
 
-@dataclass(frozen=True)
+
+@_node
 class Bottom(Formula):
     pass
 
 
-@dataclass(frozen=True)
+@_node
 class Neg(Formula):
     """Paraconsistent negation.  Classical negation is the derived form
     ``Implies(f, Bottom())`` and never a distinct node."""
@@ -75,73 +122,75 @@ class Neg(Formula):
     body: Formula
 
 
-@dataclass(frozen=True)
+@_node
 class And(Formula):
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True)
+@_node
 class Or(Formula):
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True)
+@_node
 class Implies(Formula):
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True)
+@_node
 class At(Formula):
     nominal: str
     body: Formula
 
+    _nominal_field = "nominal"
 
-@dataclass(frozen=True)
+
+@_node
 class Diamond(Formula):
     program: Program
     body: Formula
 
 
-@dataclass(frozen=True)
+@_node
 class Box(Formula):
     program: Program
     body: Formula
 
 
-@dataclass(frozen=True)
+@_node
 class Atomic(Program):
     name: str
 
 
-@dataclass(frozen=True)
+@_node
 class Seq(Program):
     first: Program
     second: Program
 
 
-@dataclass(frozen=True)
+@_node
 class Choice(Program):
     left: Program
     right: Program
 
 
-@dataclass(frozen=True)
+@_node
 class Star(Program):
     body: Program
 
 
-@dataclass(frozen=True)
+@_node
 class Test(Program):
     condition: Formula
 
     __test__ = False  # keep pytest from collecting the AST node
 
 
-@dataclass(frozen=True)
-class SignedFormula:
+@_node
+class SignedFormula(_Node):
     """A formula or its minus form.  ``minus`` applies at top level only;
     a minus-marked formula asserts global *failure* of the body."""
 
@@ -241,19 +290,9 @@ def _children(x: Syntax) -> Iterator[Syntax]:
         yield x.condition
 
 
-def iter_nominals(x: Syntax) -> Iterator[str]:
-    """Yield nominal names in leftmost-first traversal order, with repeats."""
-    if isinstance(x, Nominal):
-        yield x.name
-    elif isinstance(x, At):
-        yield x.nominal
-    for child in _children(x):
-        yield from iter_nominals(child)
-
-
 def nominals_of(x: Syntax) -> frozenset[str]:
     """All nominal names occurring in x, at either @ or atom position."""
-    return frozenset(iter_nominals(x))
+    return frozenset(x.nominals)
 
 
 def actions_of(x: Syntax) -> frozenset[str]:
@@ -482,24 +521,28 @@ class _Parser:
         )
 
 
-def parse_formula(text: str) -> Formula:
-    """Parse a formula; raises ParseError with position on bad input."""
+def _parse_all(text: str, start):
     parser = _Parser(_tokenize(text))
-    f = parser.formula()
+    try:
+        tree = start(parser)
+    except RecursionError:
+        raise ParseError("input nested too deeply", parser.peek().pos) from None
     tok = parser.peek()
     if tok.kind != "eof":
         raise ParseError(f"trailing input {tok.value!r}", tok.pos, ("end of input",))
-    return f
+    return tree
+
+
+def parse_formula(text: str) -> Formula:
+    """Parse a formula; raises ParseError with position on bad input,
+    including input nested deeper than the interpreter's recursion limit."""
+    return _parse_all(text, _Parser.formula)
 
 
 def parse_program(text: str) -> Program:
-    """Parse a program; raises ParseError with position on bad input."""
-    parser = _Parser(_tokenize(text))
-    p = parser.program()
-    tok = parser.peek()
-    if tok.kind != "eof":
-        raise ParseError(f"trailing input {tok.value!r}", tok.pos, ("end of input",))
-    return p
+    """Parse a program; raises ParseError with position on bad input,
+    including input nested deeper than the interpreter's recursion limit."""
+    return _parse_all(text, _Parser.program)
 
 
 # ---------------------------------------------------------------------------

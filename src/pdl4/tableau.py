@@ -50,7 +50,6 @@ from .syntax import (
     Star,
     Test,
     fischer_ladner_closure,
-    iter_nominals,
 )
 
 ROOT_ORIGIN = "*"
@@ -419,6 +418,7 @@ class Branch:
         self.formulas: list[BranchFormula] = []
         self.index: dict[SignedFormula, BranchFormula] = {}
         self.nominal_order: list[str] = []
+        self.position: dict[str, int] = {}  # nominal -> index in nominal_order
         self.generation: dict[str, str] = {}
         # Per-nominal decorated closure statements; the loop-check compares
         # these sets, so they are maintained incrementally (growing only).
@@ -449,7 +449,7 @@ class Branch:
         return stmt in self.index
 
     def first_occurrence(self, nominal: str) -> int:
-        return self.nominal_order.index(nominal)
+        return self.position[nominal]
 
     def statements(self) -> list[SignedFormula]:
         return [bf.statement for bf in self.formulas]
@@ -465,6 +465,7 @@ class Branch:
         ]
         clone.index = {bf.statement: bf for bf in clone.formulas}
         clone.nominal_order = list(self.nominal_order)
+        clone.position = dict(self.position)
         clone.generation = dict(self.generation)
         clone.cl_statements = {n: set(s) for n, s in self.cl_statements.items()}
         clone.raw_plain = list(self.raw_plain)
@@ -499,6 +500,7 @@ class Branch:
         if name in self.generation:
             return
         self.generation[name] = parent
+        self.position[name] = len(self.nominal_order)
         self.nominal_order.append(name)
         # the self-equality axiom, and root-formula prefixing at this nominal
         self._enqueue_pair(
@@ -528,7 +530,7 @@ class Branch:
         self.index[stmt] = bf
         self._assert_closure_property(stmt)
         parents = fresh_parents or {}
-        for name in dict.fromkeys(iter_nominals(stmt)):
+        for name in stmt.nominals:
             self._register_nominal(name, parents.get(name, ROOT_ORIGIN))
         self._update_cl_statements(stmt)
         self._check_closed(stmt)
@@ -1066,7 +1068,7 @@ def extract_model(branch: Branch) -> Model:
         )
     blockers = {i: branch.blockers_of(i) for i in nominals}
     unblocked = [i for i in nominals if not blockers[i]]
-    position = {i: k for k, i in enumerate(nominals)}
+    position = branch.position
     # union-find over unblocked nominals, representative = earliest occurrence
     parent = {i: i for i in unblocked}
 

@@ -193,6 +193,22 @@ class TestDiagram:
         assert "unnamed" in err
 
 
+class TestExitStatus:
+    def test_deep_formula_is_an_input_error(self, capsys):
+        code, _, err = invoke(capsys, "prove", "--formula", "!" * 3000 + "p")
+        assert code == 2
+        assert "nested too deeply" in err
+
+    def test_internal_error_is_not_refuted(self, capsys):
+        # the extracted model fails a root here, a known prover defect
+        code, out, err = invoke(
+            capsys, "prove", "--assume", "<(<a>p)?*>p", "--formula", "p"
+        )
+        assert code == 3
+        assert out == ""
+        assert err.startswith("internal error: extracted model fails root")
+
+
 class TestOracle:
     def test_countermodel_found(self, capsys):
         code, out, _ = invoke(capsys, "oracle", "--formula", "p | !p")

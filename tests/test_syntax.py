@@ -1,4 +1,9 @@
+import os
+import pickle
 import random
+import subprocess
+import sys
+from dataclasses import fields
 
 import pytest
 from hypothesis import given, settings
@@ -12,11 +17,13 @@ from pdl4.syntax import (
     Box,
     Choice,
     Diamond,
+    Formula,
     Implies,
     Neg,
     Nominal,
     Or,
     ParseError,
+    Program,
     PropVar,
     Seq,
     SignedFormula,
@@ -35,7 +42,7 @@ from pdl4.syntax import (
     render_program,
     top,
 )
-from pdl4.generators import random_formula
+from pdl4.generators import random_formula, random_program
 
 p, q = PropVar("p"), PropVar("q")
 a, b = Atomic("a"), Atomic("b")
@@ -83,6 +90,12 @@ class TestParsing:
     def test_error_on_bad_character(self):
         with pytest.raises(ParseError):
             parse_formula("p % q")
+
+    def test_deep_nesting_is_a_parse_error(self):
+        with pytest.raises(ParseError, match="nested too deeply"):
+            parse_formula("!" * 3000 + "p")
+        with pytest.raises(ParseError, match="nested too deeply"):
+            parse_program("(" * 3000 + "a" + ")" * 3000)
 
 
 class TestRendering:
@@ -144,6 +157,80 @@ class TestNameCollection:
         assert nominals_of(f) == {"i"}
         assert actions_of(f) == {"b"}
         assert propositions_of(f) == {"p"}
+
+
+def _nodes(x):
+    """x and every node below it, in leftmost-first order."""
+    out = [x]
+    for f in fields(x):
+        value = getattr(x, f.name)
+        if isinstance(value, (Formula, Program)):
+            out.extend(_nodes(value))
+    return out
+
+
+def _first_occurrence_nominals(x):
+    names = [
+        node.name if isinstance(node, Nominal) else node.nominal
+        for node in _nodes(x)
+        if isinstance(node, (Nominal, At))
+    ]
+    return tuple(dict.fromkeys(names))
+
+
+class TestCachedNodeValues:
+    def _corpus(self):
+        rng = random.Random(41)
+        sig = _signature()
+        for _ in range(300):
+            yield random_formula(rng, sig, rng.randint(0, 6))
+            yield random_program(rng, sig, rng.randint(0, 3))
+
+    def test_hash_is_structural(self):
+        for x in self._corpus():
+            if isinstance(x, Program):
+                copy = parse_program(render_program(x))
+            else:
+                copy = parse_formula(render(x))
+            assert copy == x and copy is not x
+            assert hash(copy) == hash(x)
+            for node in _nodes(x):
+                values = tuple(getattr(node, f.name) for f in fields(node))
+                assert hash(node) == hash(values)
+
+    def test_signed_formula_hash(self):
+        f = parse_formula("@'i <a*>(p & 'j)")
+        for minus in (False, True):
+            sf = SignedFormula(f, minus)
+            assert hash(sf) == hash((f, minus))
+            assert sf.nominals == ("i", "j")
+
+    def test_nominals_in_first_occurrence_order(self):
+        for x in self._corpus():
+            for node in _nodes(x):
+                assert node.nominals == _first_occurrence_nominals(node)
+        f = parse_formula("@'j (<a>'i & @'j 'k | [('i)?]'j)")
+        assert f.nominals == ("j", "i", "k")
+
+    def test_pickle_rebuilds_the_cache(self):
+        # A cached hash is only valid in the process that computed it; the
+        # child runs under a different string-hash seed.
+        f = parse_formula("@'i <a*>(p & 'j)")
+        script = (
+            "import pickle, sys\n"
+            "from pdl4.syntax import parse_formula\n"
+            "f = pickle.loads(sys.stdin.buffer.read())\n"
+            "assert f == parse_formula(%r)\n"
+            "assert f in {parse_formula(%r)}\n" % (render(f), render(f))
+        )
+        for seed in ("1", "2"):
+            done = subprocess.run(
+                [sys.executable, "-c", script],
+                input=pickle.dumps(f),
+                env={"PYTHONHASHSEED": seed, "PYTHONPATH": os.pathsep.join(sys.path)},
+                capture_output=True,
+            )
+            assert done.returncode == 0, done.stderr.decode()
 
 
 class TestSignature:

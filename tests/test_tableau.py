@@ -2,7 +2,7 @@ import random
 
 from pdl4.generators import random_formula, random_model
 from pdl4.oracle import EnumerationSpec, countermodel_search
-from pdl4.semantics import globally_satisfies
+from pdl4.semantics import globally_satisfies, serialize_model
 from pdl4.syntax import (
     And,
     At,
@@ -183,6 +183,15 @@ class TestInclusion:
             for i in branch.nominal_order:
                 for j in branch.nominal_order:
                     assert inclusion(i, j, branch) == branch.included_in(i, j)
+
+    def test_first_occurrence_follows_nominal_order(self):
+        roots = [
+            SignedFormula(parse_formula("~p")),
+            SignedFormula(parse_formula("~<a*>p"), minus=True),
+        ]
+        for branch in saturate(roots):
+            for k, nominal in enumerate(branch.nominal_order):
+                assert branch.first_occurrence(nominal) == k
 
     def test_loop_check_blocks_star_expansion(self):
         result = prove_consequence(
@@ -726,3 +735,199 @@ def test_rule_local_soundness():
                     for column in columns
                 ), [str(sf) for sf in premise_list]
     assert hits > 100
+
+
+# (verdict, steps, branches, fresh nominals, serialized countermodel) for
+# fast problems of the acceptance gate's consequence corpus, keyed by corpus
+# index, under the default limits.  Recorded before formula nodes cached
+# their hashes; any change to rule order or to the loop-check moves them.
+_GOLDEN = {
+    0: ("refuted", 8, 3, 1, (
+        "worlds: t0\n"
+        "name 't0 = t0\n"
+        "prop p pos: t0\n"
+        "prop p neg:\n"
+        "prop q pos:\n"
+        "prop q neg:\n"
+    )),
+    1: ("refuted", 25, 9, 1, (
+        "worlds: i\n"
+        "name 'i = i\n"
+        "name 't0 = i\n"
+        "action a pos:\n"
+        "action a neg: (i,i)\n"
+    )),
+    2: ("refuted", 97, 13, 5, (
+        "worlds: i t0 t1 t2\n"
+        "name 'i = i\n"
+        "name 't0 = t0\n"
+        "name 't1 = t1\n"
+        "name 't2 = t2\n"
+        "name 't3 = t1\n"
+        "name 't4 = t2\n"
+        "action a pos: (i,t1) (t0,t2) (t1,t1) (t2,t2)\n"
+        "action a neg: (i,i) (i,t0) (i,t1) (i,t2) (t0,i) (t0,t0) (t0,t1) (t0,t2) "
+        "(t1,i) (t1,t0) (t1,t1) (t1,t2) (t2,i) (t2,t0) (t2,t1) (t2,t2)\n"
+        "prop p pos: i t1\n"
+        "prop p neg: t1 t2\n"
+    )),
+    15: ("proved", 51, 2, 6, None),
+    53: ("refuted", 56, 16, 2, (
+        "worlds: i t0 t1\n"
+        "name 'i = i\n"
+        "name 't0 = t0\n"
+        "name 't1 = t1\n"
+        "action a pos: (i,t1)\n"
+        "action a neg: (i,i) (i,t0) (i,t1) (t0,i) (t0,t0) (t0,t1) (t1,i) (t1,t0) "
+        "(t1,t1)\n"
+    )),
+    66: ("refuted", 24, 6, 4, (
+        "worlds: i t1\n"
+        "name 'i = i\n"
+        "name 't0 = i\n"
+        "name 't1 = t1\n"
+        "name 't2 = t1\n"
+        "name 't3 = t1\n"
+        "action a pos: (i,t1) (t1,t1)\n"
+        "action a neg: (i,i) (i,t1) (t1,i) (t1,t1)\n"
+        "prop p pos:\n"
+        "prop p neg:\n"
+    )),
+    73: ("refuted", 125, 23, 9, (
+        "worlds: i t0 t3\n"
+        "name 'i = i\n"
+        "name 't0 = t0\n"
+        "name 't1 = i\n"
+        "name 't2 = i\n"
+        "name 't3 = t3\n"
+        "name 't4 = t3\n"
+        "name 't5 = i\n"
+        "name 't6 = t3\n"
+        "name 't7 = i\n"
+        "name 't8 = t3\n"
+        "action a pos: (i,i) (i,t3) (t0,i) (t0,t3) (t3,i) (t3,t3)\n"
+        "action a neg: (i,i) (i,t0) (i,t3) (t0,i) (t0,t0) (t0,t3) (t3,i) (t3,t0) "
+        "(t3,t3)\n"
+    )),
+    82: ("proved", 27, 3, 2, None),
+    105: ("proved", 408, 108, 7, None),
+    109: ("refuted", 63, 9, 4, (
+        "worlds: i t0\n"
+        "name 'i = i\n"
+        "name 't0 = t0\n"
+        "name 't1 = i\n"
+        "name 't2 = i\n"
+        "name 't3 = i\n"
+        "action a pos: (i,i) (t0,i)\n"
+        "action a neg: (i,i) (i,t0) (t0,i) (t0,t0)\n"
+    )),
+    110: ("proved", 368, 52, 96, None),
+    114: ("refuted", 31, 5, 3, (
+        "worlds: i t0 t1\n"
+        "name 'i = i\n"
+        "name 't0 = t0\n"
+        "name 't1 = t1\n"
+        "name 't2 = t0\n"
+        "action a pos:\n"
+        "action a neg: (i,i) (i,t0) (t0,i) (t0,t0) (t0,t1) (t1,i)\n"
+        "prop p pos:\n"
+        "prop p neg:\n"
+    )),
+    146: ("refuted", 54, 14, 7, (
+        "worlds: i t0 t1 t3\n"
+        "name 'i = i\n"
+        "name 't0 = t0\n"
+        "name 't1 = t1\n"
+        "name 't2 = t1\n"
+        "name 't3 = t3\n"
+        "name 't4 = t1\n"
+        "name 't5 = i\n"
+        "name 't6 = t1\n"
+        "action a pos: (i,t1) (t0,t1) (t1,t1) (t1,t3) (t3,i) (t3,t1)\n"
+        "action a neg: (i,i) (i,t0) (i,t1) (i,t3) (t0,i) (t0,t0) (t0,t1) (t0,t3) "
+        "(t1,i) (t1,t0) (t1,t1) (t1,t3) (t3,i) (t3,t0) (t3,t1) (t3,t3)\n"
+        "prop p pos: i\n"
+        "prop p neg:\n"
+    )),
+    147: ("refuted", 34, 3, 3, (
+        "worlds: t0 t1\n"
+        "name 't0 = t0\n"
+        "name 't1 = t1\n"
+        "name 't2 = t1\n"
+        "action a pos:\n"
+        "action a neg: (t0,t0) (t1,t0)\n"
+        "prop p pos: t1\n"
+        "prop p neg: t0 t1\n"
+    )),
+    154: ("refuted", 45, 10, 6, (
+        "worlds: i t0 t1 t4\n"
+        "name 'i = i\n"
+        "name 't0 = t0\n"
+        "name 't1 = t1\n"
+        "name 't2 = t1\n"
+        "name 't3 = t1\n"
+        "name 't4 = t4\n"
+        "name 't5 = t1\n"
+        "action a pos: (i,t1) (t0,t1) (t1,t1) (t1,t4) (t4,t1)\n"
+        "action a neg: (i,i) (i,t0) (i,t1) (i,t4) (t0,i) (t0,t0) (t0,t1) (t0,t4) "
+        "(t1,i) (t1,t0) (t1,t1) (t1,t4) (t4,i) (t4,t0) (t4,t1) (t4,t4)\n"
+        "prop p pos: t4\n"
+        "prop p neg:\n"
+    )),
+    155: ("refuted", 31, 3, 4, (
+        "worlds: t0\n"
+        "name 't0 = t0\n"
+        "action a pos:\n"
+        "action a neg: (t0,t0)\n"
+        "prop p pos: t0\n"
+        "prop p neg:\n"
+    )),
+    157: ("proved", 350, 40, 14, None),
+    158: ("refuted", 114, 1, 11, (
+        "worlds: i t0 t1 t2 t4 t6 t7\n"
+        "name 'i = i\n"
+        "name 't0 = t0\n"
+        "name 't1 = t1\n"
+        "name 't10 = t4\n"
+        "name 't2 = t2\n"
+        "name 't3 = t1\n"
+        "name 't4 = t4\n"
+        "name 't5 = t2\n"
+        "name 't6 = t6\n"
+        "name 't7 = t7\n"
+        "name 't8 = t7\n"
+        "name 't9 = t1\n"
+        "action a pos: (i,t1) (t0,t2) (t1,t1) (t1,t2) (t1,t4) (t2,t2) (t2,t6) "
+        "(t4,t7) (t6,t7) (t7,t1) (t7,t2) (t7,t4) (t7,t6) (t7,t7)\n"
+        "action a neg: (i,i) (i,t0) (i,t1) (i,t2) (i,t4) (i,t6) (i,t7) (t0,i) "
+        "(t0,t0) (t0,t1) (t0,t2) (t0,t4) (t0,t6) (t0,t7) (t1,i) (t1,t0) (t1,t1) "
+        "(t1,t2) (t1,t4) (t1,t6) (t1,t7) (t2,i) (t2,t0) (t2,t1) (t2,t2) (t2,t4) "
+        "(t2,t6) (t2,t7) (t4,i) (t4,t0) (t4,t1) (t4,t2) (t4,t4) (t4,t6) (t4,t7) "
+        "(t6,i) (t6,t0) (t6,t1) (t6,t2) (t6,t4) (t6,t6) (t6,t7) (t7,i) (t7,t0) "
+        "(t7,t1) (t7,t2) (t7,t4) (t7,t6) (t7,t7)\n"
+        "prop p pos: t4 t6 t7\n"
+        "prop p neg:\n"
+    )),
+    166: ("proved", 85, 27, 4, None),
+    174: ("proved", 178, 8, 13, None),
+    193: ("proved", 35, 6, 2, None),
+}
+
+
+def test_gate_corpus_golden():
+    from test_acceptance import _consequence_corpus
+
+    corpus = _consequence_corpus()
+    for index, expected in _GOLDEN.items():
+        hypotheses, goal = corpus[index]
+        result = prove_consequence(hypotheses, goal)
+        stats = result.stats
+        model = result.countermodel
+        observed = (
+            result.verdict,
+            stats.steps,
+            stats.branches,
+            stats.fresh_nominals,
+            None if model is None else serialize_model(model),
+        )
+        assert observed == expected, index
