@@ -32,6 +32,7 @@ from .semantics import (
     globally_satisfies,
     load_model,
     satisfies,
+    satisfying_worlds,
     serialize_model,
     to_four_model,
     value4,
@@ -88,11 +89,18 @@ def _env_float(name: str) -> Optional[float]:
         raise CliError(f"environment variable {name} must be a number, got {raw!r}")
 
 
+# Longest input echoed in full in a parse error.
+ECHO_LIMIT = 60
+
+
 def _parse(text: str) -> Formula:
     try:
         return parse_formula(text)
     except ParseError as exc:
-        raise CliError(f"cannot parse formula {text!r}: {exc}")
+        shown = repr(text)
+        if len(text) > ECHO_LIMIT:
+            shown = f"{text[:ECHO_LIMIT]!r}... ({len(text)} characters)"
+        raise CliError(f"cannot parse formula {shown}: {exc}")
 
 
 def _load_model(path: str) -> Model:
@@ -184,14 +192,14 @@ def _cmd_check(args) -> int:
             print(f"check {render(f)}")
         else:
             print(f"formula: {render(f)}")
-        holds_everywhere = True
+        holding = satisfying_worlds(model, f)
         for w in sorted(model.worlds):
-            value = satisfies(model, w, f)
-            holds_everywhere &= value
+            value = w in holding
             if machine:
                 print(f"{w} {int(value)}")
             else:
                 print(f"  {w}: {'yes' if value else 'no'}")
+        holds_everywhere = holding == model.worlds
         if machine:
             print(f"global {int(holds_everywhere)}")
         else:

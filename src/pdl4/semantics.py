@@ -9,9 +9,20 @@ relation; negated modal formulas are read over the *complement* of the
 negative relation, which is only effective on a finite domain, so all
 relations here are explicit pair sets.
 
-Models are immutable after construction; satisfaction and interpretation
-are pure and safe for concurrent evaluation (the denotation memo is
-per-call).
+The two-relation checker labels: a formula denotes a set of worlds, held
+as a bitmask over the worlds in sorted order, and each program a
+successor mask per world for its positive relation and for the
+complement of its negative relation.  Each (subformula, polarity) and
+each (subprogram, polarity) is labelled once, bottom-up, from the labels
+of its parts, so checking a formula f costs O(|f|·|W|²) bit operations
+whatever its modal depth.  Every atom of the formula is read, so an atom
+outside the model's signature is a ModelError even where a short-circuit
+would never reach it.
+
+Models are immutable after construction (a model converts each relation
+and valuation to bitmasks when the checker first reads it, and keeps the
+result); satisfaction and interpretation are pure and safe for concurrent
+evaluation (formula and program labels are per-call).
 """
 from __future__ import annotations
 
@@ -52,30 +63,6 @@ class ModelError(ValueError):
 class CompositeProgramError(ModelError):
     """Raised by the four-valued valuation when it meets a composite
     program; callers must use the two-relation checker for those."""
-
-
-# ---------------------------------------------------------------------------
-# Relation helpers
-
-
-def compose(r: frozenset[Pair], s: frozenset[Pair]) -> frozenset[Pair]:
-    by_source: dict[str, set[str]] = {}
-    for u, v in s:
-        by_source.setdefault(u, set()).add(v)
-    return frozenset(
-        (x, z) for x, y in r for z in by_source.get(y, ()))
-
-
-def reflexive_transitive_closure(
-    r: frozenset[Pair], worlds: frozenset[str]
-) -> frozenset[Pair]:
-    """Closure by iterated squaring to a fixpoint."""
-    closure = r | frozenset((w, w) for w in worlds)
-    while True:
-        squared = closure | compose(closure, closure)
-        if squared == closure:
-            return closure
-        closure = squared
 
 
 # ---------------------------------------------------------------------------
@@ -136,6 +123,7 @@ class Model:
             frozenset(self.pos_val), frozenset(self.naming), frozenset(self.pos_rel)
         )
         object.__setattr__(self, "_signature", sig)
+        object.__setattr__(self, "_bits", _Bits(self))
 
     @property
     def signature(self) -> Signature:
@@ -150,6 +138,68 @@ class Model:
     def is_named(self) -> bool:
         """Whether every world is named by at least one nominal."""
         return set(self.naming.values()) == set(self.worlds)
+
+
+class _Bits:
+    """A model as bitmasks: world k of the sorted worlds is bit k, a
+    valuation is the mask of its worlds, and a relation is a tuple of
+    successor masks, row k for world k.  Each relation and valuation is
+    converted when first read and kept, since a model never changes; a
+    check that stops early converts only what it read."""
+
+    # every model makes one: slots keep it small, and it refers to the
+    # model's maps, not to the model, which would make a reference cycle
+    __slots__ = (
+        "worlds", "index", "full", "_rel", "_val", "_relations", "_valuations"
+    )
+
+    def __init__(self, model: Model):
+        self.worlds = tuple(sorted(model.worlds))
+        self.index = {w: k for k, w in enumerate(self.worlds)}
+        self.full = (1 << len(self.worlds)) - 1
+        self._rel = model.pos_rel, model.neg_rel
+        self._val = model.pos_val, model.neg_val
+        self._relations: dict[tuple[str, bool], tuple[int, ...]] = {}
+        self._valuations: dict[tuple[str, bool], int] = {}
+
+    def relation(self, action: str, negated: bool) -> tuple[int, ...]:
+        """Successor masks of the action's positive relation, or of the
+        complement of its negative relation when negated."""
+        key = (action, negated)
+        rows = self._relations.get(key)
+        if rows is None:
+            rel = self._rel[negated]
+            if action not in rel:
+                raise ModelError(f"unknown action {action!r}")
+            out = [0] * len(self.worlds)
+            for u, v in rel[action]:
+                out[self.index[u]] |= 1 << self.index[v]
+            rows = tuple(self.full ^ row for row in out) if negated else tuple(out)
+            self._relations[key] = rows
+        return rows
+
+    def valuation(self, prop: str, negated: bool) -> int:
+        """Worlds in the proposition's positive valuation, or in its
+        negative one when negated."""
+        key = (prop, negated)
+        mask = self._valuations.get(key)
+        if mask is None:
+            val = self._val[negated]
+            if prop not in val:
+                raise ModelError(f"unknown proposition {prop!r}")
+            mask = 0
+            for w in val[prop]:
+                mask |= 1 << self.index[w]
+            self._valuations[key] = mask
+        return mask
+
+    def worlds_of(self, mask: int) -> frozenset[str]:
+        return frozenset(w for k, w in enumerate(self.worlds) if mask >> k & 1)
+
+    def pairs_of(self, rows: tuple[int, ...]) -> frozenset[Pair]:
+        return frozenset(
+            (u, v) for u, row in zip(self.worlds, rows) for v in self.worlds_of(row)
+        )
 
 
 @dataclass(frozen=True)
@@ -208,138 +258,130 @@ class FourModel:
 # Two-relation satisfaction
 
 
-class _Evaluator:
-    """Satisfaction over one model with per-call memoisation of program
-    denotations (star and nested tests make naive recomputation blow up)."""
+class _Labeller:
+    """Satisfaction over one model by labelling: the mask of the worlds
+    satisfying each (subformula, polarity), and the successor masks of each
+    (subprogram, polarity), each computed once from the labels of its parts
+    and kept for the labeller's lifetime only (the model itself keeps the
+    masks of its propositions and atomic actions)."""
 
     def __init__(self, model: Model):
         self.model = model
-        self._memo: dict[Program, ProgramDenotation] = {}
+        self.bits: _Bits = model._bits  # type: ignore[attr-defined]
+        # each memo holds the positive side, then the negated one
+        self.labels: tuple[dict[Formula, int], dict[Formula, int]] = ({}, {})
+        self.programs: tuple[
+            dict[Program, tuple[int, ...]], dict[Program, tuple[int, ...]]
+        ] = ({}, {})
 
-    def denotation(self, program: Program) -> ProgramDenotation:
-        hit = self._memo.get(program)
-        if hit is not None:
-            return hit
-        result = self._interpret(program)
-        self._memo[program] = result
-        return result
-
-    def _interpret(self, program: Program) -> ProgramDenotation:
-        m = self.model
-        if isinstance(program, Atomic):
-            if program.name not in m.pos_rel:
-                raise ModelError(f"unknown action {program.name!r}")
-            everything = frozenset((u, v) for u in m.worlds for v in m.worlds)
-            return ProgramDenotation(
-                m.pos_rel[program.name], everything - m.neg_rel[program.name]
-            )
-        if isinstance(program, Seq):
-            a = self.denotation(program.first)
-            b = self.denotation(program.second)
-            return ProgramDenotation(
-                compose(a.pos, b.pos),
-                compose(a.neg_complement, b.neg_complement),
-            )
-        if isinstance(program, Choice):
-            a = self.denotation(program.left)
-            b = self.denotation(program.right)
-            return ProgramDenotation(
-                a.pos | b.pos, a.neg_complement | b.neg_complement
-            )
-        if isinstance(program, Star):
-            a = self.denotation(program.body)
-            return ProgramDenotation(
-                reflexive_transitive_closure(a.pos, self.model.worlds),
-                reflexive_transitive_closure(a.neg_complement, self.model.worlds),
-            )
-        if isinstance(program, Test):
-            cond = program.condition
-            pos = frozenset(
-                (w, w) for w in m.worlds if self.satisfies(w, cond)
-            )
-            neg_complement = frozenset(
-                (w, w) for w in m.worlds if not self.satisfies(w, Neg(cond))
-            )
-            return ProgramDenotation(pos, neg_complement)
-        raise TypeError(f"not a program: {program!r}")
-
-    def successors(self, pairs: frozenset[Pair], w: str) -> list[str]:
-        return [v for u, v in pairs if u == w]
-
-    def satisfies(self, w: str, f: Formula) -> bool:
-        model = self.model
+    def label(self, f: Formula, negated: bool = False) -> int:
+        """Worlds satisfying f, or its negation !f when negated.  Both
+        polarities are handled here, one call per formula level, so any
+        formula the parser accepts stays within the recursion limit."""
+        bits = self.bits
         if isinstance(f, PropVar):
-            if f.name not in model.pos_val:
-                raise ModelError(f"unknown proposition {f.name!r}")
-            return w in model.pos_val[f.name]
+            # the model keeps these labels itself
+            return bits.valuation(f.name, negated)
+        memo = self.labels[negated]
+        mask = memo.get(f)
+        if mask is not None:
+            return mask
+        label = self.label
         if isinstance(f, Nominal):
-            return w == model.named_world(f.name)
-        if isinstance(f, Bottom):
-            return False
-        if isinstance(f, And):
-            return self.satisfies(w, f.left) and self.satisfies(w, f.right)
-        if isinstance(f, Or):
-            return self.satisfies(w, f.left) or self.satisfies(w, f.right)
-        if isinstance(f, Implies):
-            return (not self.satisfies(w, f.left)) or self.satisfies(w, f.right)
-        if isinstance(f, At):
-            return self.satisfies(model.named_world(f.nominal), f.body)
-        if isinstance(f, Diamond):
-            pairs = self.denotation(f.program).pos
-            return any(self.satisfies(v, f.body) for v in self.successors(pairs, w))
-        if isinstance(f, Box):
-            pairs = self.denotation(f.program).pos
-            return all(self.satisfies(v, f.body) for v in self.successors(pairs, w))
-        if isinstance(f, Neg):
-            return self._satisfies_neg(w, f.body)
-        raise TypeError(f"not a formula: {f!r}")
+            mask = 1 << bits.index[self.model.named_world(f.name)]
+            if negated:
+                mask ^= bits.full
+        elif isinstance(f, Bottom):
+            mask = bits.full if negated else 0
+        elif isinstance(f, Neg):
+            mask = label(f.body, not negated)
+        elif isinstance(f, (And, Or, Implies)):
+            # !(f & g) is !f | !g, !(f | g) is !f & !g, !(f -> g) is ~!f & !g
+            left, right = label(f.left, negated), label(f.right, negated)
+            if isinstance(f, Implies):
+                mask = (bits.full ^ left) & right if negated else (bits.full ^ left) | right
+            elif isinstance(f, And) != negated:
+                mask = left & right
+            else:
+                mask = left | right
+        elif isinstance(f, At):
+            named = bits.index[self.model.named_world(f.nominal)]
+            mask = bits.full if label(f.body, negated) >> named & 1 else 0
+        elif isinstance(f, (Diamond, Box)):
+            # <π>f: some successor satisfies f, [π]f: all do; negated, both
+            # read !f over the negative complement with some and all swapped
+            rows, body = self.rows(f.program, negated), label(f.body, negated)
+            if isinstance(f, Diamond) != negated:
+                mask = sum(1 << w for w, row in enumerate(rows) if row & body)
+            else:
+                missing = bits.full ^ body
+                mask = sum(1 << w for w, row in enumerate(rows) if not row & missing)
+        else:
+            raise TypeError(f"not a formula: {f!r}")
+        memo[f] = mask
+        return mask
 
-    def _satisfies_neg(self, w: str, body: Formula) -> bool:
-        """Satisfaction of the negation of body, pushed one level."""
-        model = self.model
-        if isinstance(body, PropVar):
-            if body.name not in model.neg_val:
-                raise ModelError(f"unknown proposition {body.name!r}")
-            return w in model.neg_val[body.name]
-        if isinstance(body, Nominal):
-            return w != model.named_world(body.name)
-        if isinstance(body, Bottom):
-            return True
-        if isinstance(body, Neg):
-            return self.satisfies(w, body.body)
-        if isinstance(body, And):
-            return self._satisfies_neg(w, body.left) or self._satisfies_neg(w, body.right)
-        if isinstance(body, Or):
-            return self._satisfies_neg(w, body.left) and self._satisfies_neg(w, body.right)
-        if isinstance(body, Implies):
-            return (not self._satisfies_neg(w, body.left)) and self._satisfies_neg(
-                w, body.right
-            )
-        if isinstance(body, At):
-            return self._satisfies_neg(model.named_world(body.nominal), body.body)
-        if isinstance(body, Diamond):
-            pairs = self.denotation(body.program).neg_complement
-            return all(
-                self._satisfies_neg(v, body.body) for v in self.successors(pairs, w)
-            )
-        if isinstance(body, Box):
-            pairs = self.denotation(body.program).neg_complement
-            return any(
-                self._satisfies_neg(v, body.body) for v in self.successors(pairs, w)
-            )
-        raise TypeError(f"not a formula: {body!r}")
+    def rows(self, program: Program, negated: bool = False) -> tuple[int, ...]:
+        """Successor masks of the program's positive relation, or of the
+        complement of its negative relation when negated."""
+        memo = self.programs[negated]
+        rows = memo.get(program)
+        if rows is not None:
+            return rows
+        bits = self.bits
+        if isinstance(program, Atomic):
+            rows = bits.relation(program.name, negated)
+        elif isinstance(program, Seq):
+            second = self.rows(program.second, negated)
+            rows = tuple(_image(second, row) for row in self.rows(program.first, negated))
+        elif isinstance(program, Choice):
+            left, right = self.rows(program.left, negated), self.rows(program.right, negated)
+            rows = tuple(x | y for x, y in zip(left, right))
+        elif isinstance(program, Star):
+            # Warshall's closure, starting from the identity
+            closure = [row | (1 << w) for w, row in enumerate(self.rows(program.body, negated))]
+            for k, through in enumerate(closure):
+                for w, row in enumerate(closure):
+                    if row >> k & 1:
+                        closure[w] = row | through
+            rows = tuple(closure)
+        elif isinstance(program, Test):
+            cond = program.condition
+            holds = (bits.full ^ self.label(cond, True)) if negated else self.label(cond)
+            rows = tuple(holds & (1 << w) for w in range(len(bits.worlds)))
+        else:
+            raise TypeError(f"not a program: {program!r}")
+        memo[program] = rows
+        return rows
+
+
+def _image(rows: tuple[int, ...], mask: int) -> int:
+    """Successors, under rows, of the worlds in mask."""
+    out = 0
+    for w, row in enumerate(rows):
+        if mask >> w & 1:
+            out |= row
+    return out
 
 
 def interpret_program(model: Model, program: Program) -> ProgramDenotation:
     """Positive relation and negative-relation complement of a program."""
-    return _Evaluator(model).denotation(program)
+    ev = _Labeller(model)
+    return ProgramDenotation(
+        ev.bits.pairs_of(ev.rows(program)), ev.bits.pairs_of(ev.rows(program, True))
+    )
+
+
+def satisfying_worlds(model: Model, formula: Formula) -> frozenset[str]:
+    """The worlds at which the formula holds."""
+    return model._bits.worlds_of(_Labeller(model).label(formula))
 
 
 def satisfies(model: Model, world: str, formula: Formula) -> bool:
     """Local satisfaction at a world."""
     if world not in model.worlds:
         raise ModelError(f"unknown world {world!r}")
-    return _Evaluator(model).satisfies(world, formula)
+    return bool(_Labeller(model).label(formula) >> model._bits.index[world] & 1)
 
 
 def globally_satisfies(
@@ -349,8 +391,7 @@ def globally_satisfies(
     minus formula asserts that the body fails at some world."""
     if isinstance(sf, Formula):
         sf = SignedFormula(sf)
-    ev = _Evaluator(model)
-    holds_everywhere = all(ev.satisfies(w, sf.formula) for w in model.worlds)
+    holds_everywhere = _Labeller(model).label(sf.formula) == model._bits.full
     return not holds_everywhere if sf.minus else holds_everywhere
 
 
@@ -483,7 +524,7 @@ def diagram(model: Model) -> frozenset[Formula]:
     if not model.is_named():
         unnamed = sorted(set(model.worlds) - set(model.naming.values()))
         raise ModelError(f"unnamed worlds present: {', '.join(unnamed)}")
-    ev = _Evaluator(model)
+    ev = _Labeller(model)
     nominals = sorted(model.naming)
     candidates: list[Formula] = []
     for i in nominals:
@@ -496,9 +537,8 @@ def diagram(model: Model) -> frozenset[Formula]:
                 candidates.append(At(i, Neg(Diamond(Atomic(a), Nominal(j)))))
         for j in nominals:
             candidates.append(At(i, Nominal(j)))
-    # @-statements are world independent, so one world decides them.
-    anchor = next(iter(model.worlds))
-    return frozenset(f for f in candidates if ev.satisfies(anchor, f))
+    # @-statements are world independent: each labels every world or none.
+    return frozenset(f for f in candidates if ev.label(f))
 
 
 # ---------------------------------------------------------------------------

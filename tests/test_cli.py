@@ -1,7 +1,12 @@
+import os
+import subprocess
+import sys
 from pathlib import Path
 
+import reference_checker as reference
 from pdl4.cli import run
-from pdl4.semantics import parse_model, serialize_model
+from pdl4.semantics import load_model, parse_model, serialize_model
+from pdl4.syntax import parse_formula, render
 
 DATA = Path(__file__).parent / "data"
 EXAMPLE = str(DATA / "example1.model")
@@ -175,6 +180,40 @@ class TestCheck:
         code, _, err = invoke(capsys, "check", "--model", "no-such.model", "--formula", "p")
         assert code == 2
 
+    def test_output_matches_world_by_world_reference(self, capsys):
+        model = load_model(EXAMPLE)
+        texts = ["p", "!<a>'j", "[a*](p -> <a>q)", "<(q?;a)*>!p", "@'i <a+a;a>'k"]
+        for fmt in ("text", "machine"):
+            argv = ["check", "--model", EXAMPLE, "--format", fmt]
+            expected = []
+            for text in texts:
+                argv += ["--formula", text]
+                f = parse_formula(text)
+                values = [reference.satisfies(model, w, f) for w in sorted(model.worlds)]
+                everywhere = all(values)
+                if fmt == "machine":
+                    expected.append(f"check {render(f)}")
+                    expected += [f"{w} {int(v)}" for w, v in zip(sorted(model.worlds), values)]
+                    expected.append(f"global {int(everywhere)}")
+                else:
+                    expected.append(f"formula: {render(f)}")
+                    expected += [
+                        f"  {w}: {'yes' if v else 'no'}"
+                        for w, v in zip(sorted(model.worlds), values)
+                    ]
+                    expected.append(f"  global: {'yes' if everywhere else 'no'}")
+            code, out, _ = invoke(capsys, *argv)
+            assert code == 1
+            assert out == "\n".join(expected) + "\n"
+
+    def test_atom_outside_signature_is_exit_2(self, capsys):
+        # the left disjunct holds everywhere, so a short-circuit skips zz
+        code, _, err = invoke(
+            capsys, "check", "--model", EXAMPLE, "--formula", "(p | ~p) | zz"
+        )
+        assert code == 2
+        assert "unknown proposition 'zz'" in err
+
 
 class TestDiagram:
     def test_example_prints_thirteen_sorted_lines(self, capsys):
@@ -198,6 +237,12 @@ class TestExitStatus:
         code, _, err = invoke(capsys, "prove", "--formula", "!" * 3000 + "p")
         assert code == 2
         assert "nested too deeply" in err
+
+    def test_parse_error_echo_is_truncated(self, capsys):
+        code, _, err = invoke(capsys, "valid", "--formula", "!" * 3000 + "p")
+        assert code == 2
+        assert len(err) < 200
+        assert "(3001 characters)" in err and "nested too deeply" in err
 
     def test_internal_error_is_not_refuted(self, capsys):
         # the extracted model fails a root here, a known prover defect
@@ -239,6 +284,16 @@ class TestOracle:
             capsys, "oracle", "--formula", "p | !p", "--samples", "200", "--seed", "3"
         )
         assert code == 1
+
+
+def test_startup_does_not_import_numpy():
+    script = "import sys, pdl4, pdl4.cli; assert 'numpy' not in sys.modules"
+    done = subprocess.run(
+        [sys.executable, "-c", script],
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+        capture_output=True,
+    )
+    assert done.returncode == 0, done.stderr.decode()
 
 
 def test_selftest_is_green(capsys):

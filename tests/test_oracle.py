@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import pdl4.oracle as oracle
+from pdl4 import _vector
 from pdl4.generators import random_formula
 from pdl4.oracle import (
     CeilingExceeded,
@@ -158,8 +159,8 @@ class TestVectorisedPath:
             models = [
                 m for m in enumerate_models(EnumerationSpec(sig, n)) if len(m.worlds) == n
             ]
-            block = oracle._VectorBlock(
-                sig, n, np.arange(total, dtype=np.int64), oracle._rows_table(n)
+            block = _vector._VectorBlock(
+                sig, n, np.arange(total, dtype=np.int64), _vector._rows_table(n)
             )
             for _ in range(30):
                 sf = SignedFormula(
@@ -179,7 +180,7 @@ class TestVectorisedPath:
         radii = oracle._radices(sig, n)
         total = prod(radii)
         indices = np.array(sorted(rng.randrange(total) for _ in range(400)), dtype=np.int64)
-        block = oracle._VectorBlock(sig, n, indices, oracle._rows_table(n))
+        block = _vector._VectorBlock(sig, n, indices, _vector._rows_table(n))
         models = []
         for index in indices:
             combo = []

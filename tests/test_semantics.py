@@ -1,7 +1,10 @@
 import random
+from collections import Counter
 from pathlib import Path
 
 import pytest
+
+import reference_checker as reference
 
 from pdl4.fourval import FourValue, designated
 from pdl4.generators import random_formula, random_model, random_program
@@ -16,11 +19,12 @@ from pdl4.semantics import (
     interpret_program,
     load_model,
     parse_model,
-    reflexive_transitive_closure,
     satisfies,
+    satisfying_worlds,
     serialize_model,
     to_four_model,
     value4,
+    _Labeller,
 )
 from pdl4.syntax import (
     And,
@@ -403,7 +407,8 @@ class TestSemanticProperties:
             }
             assert composed <= den_star.pos
             assert (
-                reflexive_transitive_closure(den_star.pos, m.worlds) == den_star.pos
+                reference.reflexive_transitive_closure(den_star.pos, m.worlds)
+                == den_star.pos
             )
 
     def test_program_axioms_hold_world_by_world(self):
@@ -439,3 +444,125 @@ class TestSemanticProperties:
                             render(form_r),
                             serialize_model(m),
                         )
+
+
+def _nested_formula(rng, sig, depth):
+    """A formula whose programs hold stars and tests, the tests holding
+    formulas with composite programs and tests of their own."""
+    if depth == 0:
+        return random_formula(rng, sig, rng.randint(0, 2))
+    inner = _nested_formula(rng, sig, depth - 1)
+    alpha = random_program(rng, sig, 2)
+    program = rng.choice(
+        [
+            Star(Seq(Test(inner), alpha)),
+            Choice(Test(Neg(inner)), Star(alpha)),
+            Seq(alpha, Star(Test(inner))),
+        ]
+    )
+    modal = rng.choice([Diamond, Box])(program, _nested_formula(rng, sig, depth - 1))
+    return rng.choice([modal, Neg(modal), At("i", modal), Implies(modal, inner)])
+
+
+class _CountingDict(dict):
+    """A memo that counts how often each key is stored."""
+
+    def __init__(self):
+        super().__init__()
+        self.stores = Counter()
+
+    def __setitem__(self, key, value):
+        self.stores[key] += 1
+        super().__setitem__(key, value)
+
+
+def _complete_model(n, **valuation):
+    worlds = frozenset(f"w{k}" for k in range(n))
+    every = frozenset((u, v) for u in worlds for v in worlds)
+    props = sorted(valuation)
+    return Model(
+        worlds,
+        {"a": every, "b": every},
+        {"a": frozenset(), "b": frozenset()},
+        {},
+        {prop: frozenset(valuation[prop]) for prop in props},
+        {prop: frozenset() for prop in props},
+    )
+
+
+class TestLabellingChecker:
+    """The labelling checker against the recursive reference checker in
+    tests/reference_checker.py."""
+
+    def test_satisfies_agrees_with_reference(self):
+        rng = random.Random(71)
+        sig = _sig()
+        for _ in range(120):
+            m = random_model(rng, sig, 5)
+            for _ in range(6):
+                if rng.random() < 0.5:
+                    f = random_formula(rng, sig, rng.randint(1, 4))
+                else:
+                    f = _nested_formula(rng, sig, rng.randint(1, 2))
+                for g in (f, Neg(f)):
+                    expected = {w for w in m.worlds if reference.satisfies(m, w, g)}
+                    for w in m.worlds:
+                        assert satisfies(m, w, g) == (w in expected), (
+                            render(g),
+                            serialize_model(m),
+                        )
+                    assert satisfying_worlds(m, g) == expected
+                    assert globally_satisfies(m, g) == (expected == m.worlds)
+
+    def test_interpret_program_agrees_with_reference(self):
+        rng = random.Random(73)
+        sig = _sig()
+        for _ in range(120):
+            m = random_model(rng, sig, 5)
+            alpha = random_program(rng, sig, 3, test_depth=2)
+            if rng.random() < 0.5:
+                alpha = Seq(Star(Test(_nested_formula(rng, sig, 1))), alpha)
+            assert interpret_program(m, alpha) == reference.interpret_program(m, alpha), (
+                str(alpha),
+                serialize_model(m),
+            )
+
+    def test_deep_chains_label_each_subformula_once(self):
+        # |W|^10 = 6^10 world visits for the recursive reference checker
+        cases = [
+            ("[a]" * 10 + "p", {"p": {f"w{k}" for k in range(6)}}, True, 1),
+            ("[a]" * 10 + "p", {"p": {"w0", "w1", "w2", "w3", "w4"}}, False, 1),
+            ("<(a;b)*>" * 10 + "p", {"p": {"w3"}}, True, 4),
+            ("<(a;b)*>" * 10 + "p", {"p": set()}, False, 4),
+        ]
+        for text, valuation, everywhere, programs in cases:
+            m = _complete_model(6, **valuation)
+            f = parse_formula(text)
+            labeller = _Labeller(m)
+            labeller.labels = _CountingDict(), _CountingDict()
+            labeller.programs = _CountingDict(), _CountingDict()
+            assert labeller.label(f) == (0b111111 if everywhere else 0)
+            # one positive label for each of the 10 modal subformulas (the
+            # model keeps the label of p) and one positive successor table
+            # for each subprogram, each stored once
+            assert [len(memo) for memo in labeller.labels] == [10, 0]
+            assert [len(memo) for memo in labeller.programs] == [programs, 0]
+            for memo in labeller.labels + labeller.programs:
+                assert set(memo.stores.values()) <= {1}
+            assert all(satisfies(m, w, f) == everywhere for w in m.worlds)
+
+    def test_atoms_outside_the_signature_are_errors(self):
+        # every atom is read, even where a short-circuit would skip it
+        m = two_world_model(pos_val={"p": frozenset({"u"})})
+        for text in ("p | zz", "[a]zz", "!(~p & zz)", "@'i p", "<b>p"):
+            with pytest.raises(ModelError):
+                satisfies(m, "u", parse_formula(text))
+            with pytest.raises(ModelError):
+                globally_satisfies(m, parse_formula(text))
+
+    def test_deep_negation_chain(self):
+        # one recursion level per formula level, like the parser
+        m = two_world_model(pos_val={"p": frozenset({"u"})})
+        f = parse_formula("!" * 800 + "p")
+        assert satisfying_worlds(m, f) == {"u"}
+        assert satisfying_worlds(m, Neg(f)) == frozenset()
