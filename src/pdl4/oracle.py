@@ -7,28 +7,64 @@ the domain itself is never enumerated) and the component order is fixed
 sorted-name order, each component counting up).  Exhaustive mode refuses
 search spaces above the configured ceiling.
 
-Large exhaustive sweeps run through a vectorised evaluator over model
-indices; any candidate it finds is re-checked with the reference model
-checker before being returned, and the scan order matches plain
-enumeration, so both paths return the same (enumeration-first,
-world-minimal) countermodel.  Sharded scans would have to merge on the
-lowest candidate index to keep that guarantee.
+Exhaustive search is one bitsliced scan: bit m of a Python int stands for
+one model, and the satisfaction clauses are applied with & and | across
+all the models of a chunk at once.  Within a world count a model's index
+is its nomination, whose digits are the only ones of radix n, followed by
+a plain binary number of relation and valuation bits.  So the scan loops
+over nominations in index order and, under each, over chunks of 2^c
+consecutive binary parts in ascending order; in a chunk, a component bit
+below bit c is the fixed pattern "bit k of m" and one at or above bit c
+is constant.  The first witness is the lowest set bit of the roots' AND in
+the first chunk that has one, so it is the enumeration-first model, and,
+world counts being scanned in ascending order, world-minimal.  Every
+witness is decoded to a Model and re-checked with the reference model
+checker before it is returned.  Sharded scans would have to merge on the
+lowest witness index to keep that guarantee.
 """
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import lru_cache
+from itertools import product
 from math import prod
 from typing import Iterator, Optional, Sequence, Union
 
-from .semantics import Model, globally_satisfies
-from .syntax import Formula, SignedFormula, Signature
+from .semantics import Model, ModelError, globally_satisfies
+from .syntax import (
+    And,
+    At,
+    Atomic,
+    Bottom,
+    Box,
+    Choice,
+    Diamond,
+    Formula,
+    Implies,
+    Neg,
+    Nominal,
+    Or,
+    Program,
+    PropVar,
+    Seq,
+    SignedFormula,
+    Signature,
+    Star,
+    Test,
+)
 
 DEFAULT_CEILING = 1 << 27
 
-# Below this many models per world count the plain generator is used even
-# in exhaustive mode; above it the vectorised scan takes over.
+# The benchmark's traced round labels a world count above this many models
+# "vector" and one below it "plain"; the search itself has one path.
 VECTOR_THRESHOLD = 1 << 14
+
+# log2 of the models per chunk of the bitsliced scan, each label an int of
+# 2^17 bits (16 KiB).  One pass of the benchmark's 173 searches took
+# 0.15-0.21 s at 16 to 18 bits, 0.39 s at 14, and as long at 20 bits with
+# more memory (2-core VM, Python 3.11).
+_CHUNK_BITS = 17
 
 
 class CeilingExceeded(ValueError):
@@ -36,8 +72,8 @@ class CeilingExceeded(ValueError):
 
 
 class OracleError(RuntimeError):
-    """The vectorised scan and the model checker disagree on a model;
-    indicates an oracle defect."""
+    """The bitsliced scan found a witness that the reference model checker
+    rejects; indicates an oracle defect."""
 
 
 @dataclass(frozen=True)
@@ -54,6 +90,8 @@ class EnumerationSpec:
     def __post_init__(self) -> None:
         if self.max_worlds < 1:
             raise ValueError("max_worlds must be at least 1")
+        if self.sample_count is not None and self.sample_count < 1:
+            raise ValueError("sample_count must be at least 1")
 
     @property
     def exhaustive(self) -> bool:
@@ -154,6 +192,197 @@ def enumerate_models(spec: EnumerationSpec) -> Iterator[Model]:
 
 
 # ---------------------------------------------------------------------------
+# Bitsliced scan
+
+
+@lru_cache(maxsize=None)
+def _bit_patterns(c: int) -> tuple[int, ...]:
+    """Entry k has bit m set, for m < 2^c, exactly when bit k of m is set.
+    Built by doubling a period, since dividing 2^c-bit ints costs more than
+    the scan itself."""
+    patterns = []
+    for k in range(c):
+        half = 1 << k
+        pattern, period = ((1 << half) - 1) << half, 2 * half
+        while period < 1 << c:
+            pattern |= pattern << period
+            period *= 2
+        patterns.append(pattern)
+    return tuple(patterns)
+
+
+def _layout(sig: Signature, n: int) -> tuple[dict[str, int], int]:
+    """Where the relation and valuation components sit in the binary part
+    of a model index at n worlds, the last component lowest: the offset of
+    each action's and proposition's positive component (its negative one
+    sits just below it), and the part's width."""
+    parts = [(a, n * n) for a in sorted(sig.actions)]
+    parts += [(p, n) for p in sorted(sig.propositions)]
+    offsets: dict[str, int] = {}
+    width = 0
+    for name, size in reversed(parts):
+        offsets[name] = width + size
+        width += 2 * size
+    return offsets, width
+
+
+class _Chunk:
+    """Satisfaction over 2^c consecutive models at n worlds that share one
+    nomination, bitsliced: bit m of an int stands for the chunk's model m.
+    A (subformula, polarity) is labelled as n ints, the models in which it
+    holds at each world, and a (subprogram, polarity) as an n×n matrix, the
+    models in which each pair is in its positive relation or in the
+    complement of its negative one.  The clauses are _Labeller's with & and
+    | taken across models, each label computed once per chunk."""
+
+    def __init__(self, offsets: dict[str, int], n: int, named: dict[str, int], c: int, chunk: int):
+        self.offsets = offsets
+        self.n = n
+        self.named = named
+        self.c = c
+        self.chunk = chunk
+        self.low = _bit_patterns(c)
+        self.full = (1 << (1 << c)) - 1
+        self.labels: tuple[dict[Formula, list[int]], dict[Formula, list[int]]] = ({}, {})
+        self.programs: tuple[
+            dict[Program, list[list[int]]], dict[Program, list[list[int]]]
+        ] = ({}, {})
+
+    def _bits(self, name: str, negated: bool, count: int) -> list[int]:
+        """The models having each of the count bits of a component set."""
+        base = self.offsets[name] - (count if negated else 0)
+        return [
+            self.low[pos] if pos < self.c
+            else self.full if self.chunk >> (pos - self.c) & 1 else 0
+            for pos in range(base, base + count)
+        ]
+
+    def label(self, f: Formula, negated: bool = False) -> list[int]:
+        """Per world, the models satisfying f, or !f when negated.  Both
+        polarities are handled here, one call per formula level."""
+        memo = self.labels[negated]
+        out = memo.get(f)
+        if out is not None:
+            return out
+        n, full, label = self.n, self.full, self.label
+        if isinstance(f, PropVar):
+            out = self._bits(f.name, negated, n)
+        elif isinstance(f, Nominal):
+            on, off = (0, full) if negated else (full, 0)
+            out = [on if w == self.named[f.name] else off for w in range(n)]
+        elif isinstance(f, Bottom):
+            out = [full if negated else 0] * n
+        elif isinstance(f, Neg):
+            out = label(f.body, not negated)
+        elif isinstance(f, (And, Or, Implies)):
+            # !(f & g) is !f | !g, !(f | g) is !f & !g, !(f -> g) is ~!f & !g
+            left, right = label(f.left, negated), label(f.right, negated)
+            if isinstance(f, Implies):
+                if negated:
+                    out = [(full ^ x) & y for x, y in zip(left, right)]
+                else:
+                    out = [(full ^ x) | y for x, y in zip(left, right)]
+            elif isinstance(f, And) != negated:
+                out = [x & y for x, y in zip(left, right)]
+            else:
+                out = [x | y for x, y in zip(left, right)]
+        elif isinstance(f, At):
+            out = [label(f.body, negated)[self.named[f.nominal]]] * n
+        elif isinstance(f, (Diamond, Box)):
+            # <π>f: some successor satisfies f, [π]f: all do; negated, both
+            # read !f over the negative complement with some and all swapped
+            rows, body = self.rows(f.program, negated), label(f.body, negated)
+            if isinstance(f, Diamond) != negated:
+                out = [_some(row, body) for row in rows]
+            else:
+                missing = [full ^ x for x in body]
+                out = [full ^ _some(row, missing) for row in rows]
+        else:
+            raise TypeError(f"not a formula: {f!r}")
+        memo[f] = out
+        return out
+
+    def rows(self, program: Program, negated: bool = False) -> list[list[int]]:
+        """Per pair (u, v) of worlds, the models in which the pair is in the
+        program's positive relation, or in the complement of its negative
+        relation when negated."""
+        memo = self.programs[negated]
+        out = memo.get(program)
+        if out is not None:
+            return out
+        n, full = self.n, self.full
+        if isinstance(program, Atomic):
+            pairs = self._bits(program.name, negated, n * n)
+            if negated:
+                pairs = [full ^ x for x in pairs]
+            out = [pairs[u * n:(u + 1) * n] for u in range(n)]
+        elif isinstance(program, Seq):
+            first, second = self.rows(program.first, negated), self.rows(program.second, negated)
+            columns = list(zip(*second))
+            out = [[_some(row, column) for column in columns] for row in first]
+        elif isinstance(program, Choice):
+            left, right = self.rows(program.left, negated), self.rows(program.right, negated)
+            out = [[x | y for x, y in zip(a, b)] for a, b in zip(left, right)]
+        elif isinstance(program, Star):
+            # Warshall's closure, starting from the identity
+            out = [list(row) for row in self.rows(program.body, negated)]
+            for w in range(n):
+                out[w][w] = full
+            for k in range(n):
+                through = out[k]
+                for row in out:
+                    via = row[k]
+                    if via:
+                        for v in range(n):
+                            row[v] |= via & through[v]
+        elif isinstance(program, Test):
+            cond = program.condition
+            if negated:
+                holds = [full ^ x for x in self.label(cond, True)]
+            else:
+                holds = self.label(cond)
+            out = [[holds[u] if u == v else 0 for v in range(n)] for u in range(n)]
+        else:
+            raise TypeError(f"not a program: {program!r}")
+        memo[program] = out
+        return out
+
+    def holds_globally(self, sf: SignedFormula) -> int:
+        """The models in which the signed formula holds globally."""
+        everywhere = self.full
+        for x in self.label(sf.formula):
+            everywhere &= x
+        return self.full ^ everywhere if sf.minus else everywhere
+
+
+def _some(row: Sequence[int], column: Sequence[int]) -> int:
+    """The models in which some world is in both row and column."""
+    out = 0
+    for x, y in zip(row, column):
+        out |= x & y
+    return out
+
+
+def _chunks(roots: Sequence[SignedFormula], sig: Signature, n: int) -> Iterator[tuple[int, int]]:
+    """For each chunk of the models at n worlds, in index order: the index
+    of its first model, and the models in it satisfying every root (empty
+    once a root leaves none)."""
+    offsets, width = _layout(sig, n)
+    c = min(width, _CHUNK_BITS)
+    nominals = sorted(sig.nominals)
+    for naming, worlds in enumerate(product(range(n), repeat=len(nominals))):
+        named = dict(zip(nominals, worlds))
+        for chunk in range(1 << (width - c)):
+            block = _Chunk(offsets, n, named, c, chunk)
+            good = block.full
+            for sf in roots:
+                good &= block.holds_globally(sf)
+                if not good:
+                    break
+            yield (naming << width) + (chunk << c), good
+
+
+# ---------------------------------------------------------------------------
 # Search
 
 
@@ -176,33 +405,31 @@ def find_model(
             f"exhaustive space {search_space_size(spec)} exceeds ceiling {spec.ceiling}"
         )
     for n in range(1, spec.max_worlds + 1):
+        try:
+            index = next(
+                (base + (good & -good).bit_length() - 1
+                 for base, good in _chunks(normalized, sig, n) if good),
+                None,
+            )
+        except KeyError as exc:  # the chunk's only lookups by name
+            raise ModelError(f"{exc.args[0]!r} is not in the signature") from None
+        if index is None:
+            continue
+        # positional decode, most significant component first
         radii = _radices(sig, n)
-        total = prod(radii)
-        if total > VECTOR_THRESHOLD and n <= 4:
-            from ._vector import _vector_first_match
-
-            index = _vector_first_match(normalized, sig, n, total)
-            if index is None:
-                continue
-            # positional decode, most significant component first
-            combo = []
-            rest = index
-            for k in range(len(radii)):
-                place = prod(radii[k + 1:])
-                digit, rest = divmod(rest, place)
-                combo.append(digit)
-            model = _decode(sig, n, combo)
-            for sf in normalized:
-                if not globally_satisfies(model, sf):
-                    raise OracleError(
-                        "vectorised scan disagrees with the model checker; "
-                        f"index {index} at {n} worlds"
-                    )
-            return model
-        for combo in _exhaustive_combos(radii):
-            model = _decode(sig, n, combo)
-            if all(globally_satisfies(model, sf) for sf in normalized):
-                return model
+        combo = []
+        rest = index
+        for k in range(len(radii)):
+            digit, rest = divmod(rest, prod(radii[k + 1:]))
+            combo.append(digit)
+        model = _decode(sig, n, combo)
+        for sf in normalized:
+            if not globally_satisfies(model, sf):
+                raise OracleError(
+                    "bitsliced scan disagrees with the model checker; "
+                    f"index {index} at {n} worlds"
+                )
+        return model
     return None
 
 

@@ -285,6 +285,13 @@ class TestOracle:
         )
         assert code == 1
 
+    def test_nonpositive_sample_count_is_usage_error(self, capsys):
+        for count in ("0", "-3"):
+            code, out, err = invoke(capsys, "oracle", "--formula", "p | ~p", "--samples", count)
+            assert code == 2
+            assert out == ""
+            assert "sample_count" in err
+
 
 def test_startup_does_not_import_numpy():
     script = "import sys, pdl4, pdl4.cli; assert 'numpy' not in sys.modules"

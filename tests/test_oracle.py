@@ -1,11 +1,12 @@
+import os
 import random
-from math import prod
+import subprocess
+import sys
+from itertools import product
 
-import numpy as np
 import pytest
 
 import pdl4.oracle as oracle
-from pdl4 import _vector
 from pdl4.generators import random_formula
 from pdl4.oracle import (
     CeilingExceeded,
@@ -15,7 +16,7 @@ from pdl4.oracle import (
     find_model,
     search_space_size,
 )
-from pdl4.semantics import globally_satisfies, serialize_model
+from pdl4.semantics import ModelError, globally_satisfies, serialize_model
 from pdl4.syntax import (
     PropVar,
     SignedFormula,
@@ -83,6 +84,11 @@ class TestEnumeration:
         with pytest.raises(ValueError):
             EnumerationSpec(Signature(), 0)
 
+    @pytest.mark.parametrize("count", [0, -3])
+    def test_sample_count_validated(self, count):
+        with pytest.raises(ValueError):
+            EnumerationSpec(Signature(), 3, sample_count=count)
+
 
 class TestCountermodelSearch:
     def test_paracomplete_witness(self):
@@ -133,67 +139,101 @@ class TestCountermodelSearch:
         assert not globally_satisfies(model, goal)
 
 
-class TestVectorisedPath:
-    def test_vector_and_plain_scans_agree(self, monkeypatch):
-        sig = Signature(frozenset({"p"}), frozenset({"i"}), frozenset({"a"}))
-        rng = random.Random(8)
-        for _ in range(25):
-            goal = random_formula(rng, sig, rng.randint(1, 4))
-            roots = [SignedFormula(goal, minus=True)]
-            spec = EnumerationSpec(sig, 2)
-            monkeypatch.setattr(oracle, "VECTOR_THRESHOLD", 1 << 60)
-            plain = find_model(roots, spec)
-            monkeypatch.setattr(oracle, "VECTOR_THRESHOLD", 1)
-            vectorised = find_model(roots, spec)
-            if plain is None:
-                assert vectorised is None
-            else:
-                assert vectorised == plain
+def _first_plain_match(roots, spec):
+    """The reference: the first enumerated model satisfying every root."""
+    for model in enumerate_models(spec):
+        if all(globally_satisfies(model, sf) for sf in roots):
+            return model
+    return None
 
-    def test_vector_block_matches_checker_on_full_space(self):
+
+def _random_roots(rng, sig):
+    roots = [SignedFormula(random_formula(rng, sig, rng.randint(1, 4)), minus=True)]
+    if rng.getrandbits(1):
+        roots.insert(0, SignedFormula(random_formula(rng, sig, rng.randint(1, 3))))
+    return roots
+
+
+class TestBitslicedScan:
+    def test_chunks_match_checker_on_full_space(self, monkeypatch):
+        # at the default size one chunk covers each nomination; at 3 bits
+        # the bits above the chunk are constants taken from its number
         sig = Signature(frozenset({"p"}), frozenset({"i"}), frozenset({"a"}))
         rng = random.Random(9)
-        for n in (1, 2):
-            radii = oracle._radices(sig, n)
-            total = prod(radii)
+        for chunk_bits, n in product((oracle._CHUNK_BITS, 3), (1, 2)):
+            monkeypatch.setattr(oracle, "_CHUNK_BITS", chunk_bits)
+            size = 1 << min(oracle._layout(sig, n)[1], chunk_bits)
             models = [
                 m for m in enumerate_models(EnumerationSpec(sig, n)) if len(m.worlds) == n
             ]
-            block = _vector._VectorBlock(
-                sig, n, np.arange(total, dtype=np.int64), _vector._rows_table(n)
-            )
             for _ in range(30):
                 sf = SignedFormula(
                     random_formula(rng, sig, rng.randint(1, 4)),
                     minus=bool(rng.getrandbits(1)),
                 )
-                vec = block.holds_globally(sf)
-                ref = np.array([globally_satisfies(m, sf) for m in models])
-                assert np.array_equal(vec, ref), str(sf)
+                truth = []
+                for base, good in oracle._chunks([sf], sig, n):
+                    assert base == len(truth)
+                    truth.extend(bool(good >> m & 1) for m in range(size))
+                assert truth == [globally_satisfies(m, sf) for m in models], str(sf)
 
-    def test_vector_block_matches_checker_on_sampled_indices(self):
-        # three-world blocks are too large to sweep against the reference,
-        # so compare on a seeded sample of model indices
+    def test_first_witness_matches_plain_enumeration(self):
         sig = Signature(frozenset({"p"}), frozenset({"i"}), frozenset({"a"}))
-        rng = random.Random(10)
-        n = 3
-        radii = oracle._radices(sig, n)
-        total = prod(radii)
-        indices = np.array(sorted(rng.randrange(total) for _ in range(400)), dtype=np.int64)
-        block = _vector._VectorBlock(sig, n, indices, _vector._rows_table(n))
-        models = []
-        for index in indices:
-            combo = []
-            rest = int(index)
-            for k in range(len(radii)):
-                digit, rest = divmod(rest, prod(radii[k + 1:]))
-                combo.append(digit)
-            models.append(oracle._decode(sig, n, combo))
+        rng = random.Random(8)
+        found = 0
         for _ in range(25):
-            sf = SignedFormula(
-                random_formula(rng, sig, rng.randint(1, 4)),
-                minus=bool(rng.getrandbits(1)),
-            )
-            vec = block.holds_globally(sf)
-            ref = np.array([globally_satisfies(m, sf) for m in models])
-            assert np.array_equal(vec, ref), str(sf)
+            roots = _random_roots(rng, sig)
+            spec = EnumerationSpec(sig, 2)
+            model = find_model(roots, spec)
+            assert model == _first_plain_match(roots, spec), [str(r) for r in roots]
+            found += model is not None
+        assert 0 < found < 25
+
+    @pytest.mark.parametrize("chunk_bits", [2, 3])
+    @pytest.mark.parametrize(
+        "sig, max_worlds",
+        [
+            (Signature(frozenset({"p"}), frozenset({"i"}), frozenset()), 3),
+            (Signature(frozenset({"p"}), frozenset({"i", "j"}), frozenset()), 3),
+            (Signature(frozenset(), frozenset({"i"}), frozenset({"a"})), 2),
+        ],
+    )
+    def test_small_chunks_keep_the_first_witness(self, monkeypatch, chunk_bits, sig, max_worlds):
+        # many chunks per nomination put chunk boundaries and nominal
+        # offsets in the witness index under test
+        monkeypatch.setattr(oracle, "_CHUNK_BITS", chunk_bits)
+        rng = random.Random(chunk_bits * 10 + max_worlds)
+        found = 0
+        for _ in range(30):
+            roots = _random_roots(rng, sig)
+            spec = EnumerationSpec(sig, max_worlds)
+            model = find_model(roots, spec)
+            assert model == _first_plain_match(roots, spec), [str(r) for r in roots]
+            found += model is not None and len(model.worlds) > 1
+        assert found
+
+    def test_names_outside_the_signature_are_refused(self):
+        spec = EnumerationSpec(Signature(frozenset({"p"}), frozenset(), frozenset()), 2)
+        for text in ("q", "<a>p", "@'i p"):
+            with pytest.raises(ModelError):
+                find_model([SignedFormula(parse_formula(text))], spec)
+
+
+def test_search_runs_without_numpy():
+    script = (
+        "import sys\n"
+        "sys.modules['numpy'] = None\n"
+        "from pdl4.oracle import EnumerationSpec, countermodel_search\n"
+        "from pdl4.syntax import parse_formula\n"
+        "def search(text):\n"
+        "    goal = parse_formula(text)\n"
+        "    return countermodel_search([], goal, EnumerationSpec.for_formulas([goal], 3))\n"
+        "assert len(search('<a>p -> p').worlds) == 2\n"
+        "assert search('p | ~p') is None\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", script],
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+        capture_output=True,
+    )
+    assert done.returncode == 0, done.stderr.decode()
