@@ -175,7 +175,8 @@ def _limits(args) -> TableauLimits:
 def _max_worlds(args) -> int:
     if args.max_worlds is not None:
         return args.max_worlds
-    return _env_int("PDL4_MAX_WORLDS") or 3
+    from_env = _env_int("PDL4_MAX_WORLDS")
+    return 3 if from_env is None else from_env
 
 
 # ---------------------------------------------------------------------------

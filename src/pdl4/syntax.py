@@ -382,6 +382,11 @@ class _Parser:
     def __init__(self, tokens: list[_Token]):
         self.tokens = tokens
         self.pos = 0
+        # formula() by start position: (formula, end position) or the
+        # ParseError it raised.  A test in a program reparses the tokens a
+        # failed test reading consumed, which would otherwise take time
+        # exponential in the nesting.
+        self.formulas: dict[int, Union[tuple[Formula, int], ParseError]] = {}
 
     def peek(self) -> _Token:
         return self.tokens[self.pos]
@@ -400,11 +405,23 @@ class _Parser:
     # formulas
 
     def formula(self) -> Formula:
-        left = self.disj()
-        if self.peek().kind == "->":
-            self.advance()
-            return Implies(left, self.formula())
-        return left
+        start = self.pos
+        known = self.formulas.get(start)
+        if isinstance(known, ParseError):
+            raise known
+        if known is not None:
+            f, self.pos = known
+            return f
+        try:
+            f = self.disj()
+            if self.peek().kind == "->":
+                self.advance()
+                f = Implies(f, self.formula())
+        except ParseError as exc:
+            self.formulas[start] = exc
+            raise
+        self.formulas[start] = (f, self.pos)
+        return f
 
     def disj(self) -> Formula:
         out = self.conj()
@@ -527,6 +544,10 @@ def _parse_all(text: str, start):
         tree = start(parser)
     except RecursionError:
         raise ParseError("input nested too deeply", parser.peek().pos) from None
+    finally:
+        # A stored ParseError's traceback holds the parser's frames, so the
+        # memo would keep the parser alive in a reference cycle.
+        parser.formulas.clear()
     tok = parser.peek()
     if tok.kind != "eof":
         raise ParseError(f"trailing input {tok.value!r}", tok.pos, ("end of input",))

@@ -9,6 +9,22 @@ that create fresh nominals) are blocked on a nominal that is included in
 an earlier one.  The inclusion loop-check is what makes saturation
 terminate in the presence of iteration programs.
 
+Rules read each @-statement in its decorated view (nominal, neg, minus,
+body): neg is one leading ! peeled off the body, minus is the statement's
+mark.  The rule for a connective under the four decorations follows from
+the plain one by two dualities, which the rule table applies:
+
+- minus swaps a non-branching rule for a branching one and the reverse,
+  and flips the mark of each conclusion;
+- ! swaps & with | and [α] with <α>, and each conclusion keeps the !
+  (double negation drops it).
+
+So an atomic modality is existential (it makes a fresh nominal) exactly
+when it is a diamond under an even number of the two decorations or a box
+under an odd number; the others act through pair rules along relational
+literals.  A star modality passing the same test is an eventuality: its
+rule splits, and the ignorable-branch check asks whether it is fulfilled.
+
 Rule scheduling: non-branching non-destructive rules saturate first,
 then destructive non-branching ones, then branching ones, with
 existential rules last, each tier through a FIFO agenda.  This keeps
@@ -26,7 +42,7 @@ import re
 import time
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Optional, Sequence, Union
+from typing import Callable, Iterable, NamedTuple, Optional, Sequence, Union
 
 from .semantics import Model, globally_satisfies
 from .syntax import (
@@ -113,293 +129,193 @@ class _PairTask:
     conclusions: tuple[SignedFormula, ...]
 
 
+def _pair_task(
+    premise: SignedFormula, edge: SignedFormula, phi: Formula, j: str, neg: bool, minus: bool
+) -> _PairTask:
+    """A universal atomic modality with body phi, applied along the
+    relational literal to j."""
+    name = ("neg-" if neg else "") + ("dia" if neg ^ minus else "box") + ("-minus" if minus else "")
+    return _PairTask(f"{name}-pair", (premise, edge), (_stmt(j, phi, neg, minus),))
+
+
 def _stmt(nominal: str, body: Formula, neg: bool = False, minus: bool = False) -> SignedFormula:
     return SignedFormula(At(nominal, Neg(body) if neg else body), minus)
 
 
-def _flip_minus(sf: SignedFormula) -> SignedFormula:
-    return SignedFormula(sf.formula, not sf.minus)
+def _view(stmt: SignedFormula) -> tuple[str, bool, bool, Formula]:
+    """The decorated reading (nominal, neg, minus, body) of an @-statement,
+    with one leading ! peeled off into neg."""
+    f = stmt.formula
+    if isinstance(f.body, Neg):
+        return f.nominal, True, stmt.minus, f.body.body
+    return f.nominal, False, stmt.minus, f.body
 
 
-def _is_literal_body(f: Formula) -> bool:
-    """Literals for equality propagation: p, !p, 'j, !'j, <a>'j, !['a']!'j."""
-    if isinstance(f, (PropVar, Nominal)):
-        return True
-    if isinstance(f, Neg) and isinstance(f.body, (PropVar, Nominal)):
-        return True
-    if (
-        isinstance(f, Diamond)
-        and isinstance(f.program, Atomic)
-        and isinstance(f.body, Nominal)
-    ):
-        return True
-    if (
-        isinstance(f, Neg)
-        and isinstance(f.body, Box)
-        and isinstance(f.body.program, Atomic)
-        and isinstance(f.body.body, Neg)
-        and isinstance(f.body.body.body, Nominal)
-    ):
-        return True
-    return False
+def _edge_target(neg: bool, body: Formula) -> Optional[str]:
+    """j when @'i body, decorated by neg, is a relational literal:
+    @'i <a>'j, or @'i ![a]!'j under neg."""
+    if isinstance(body, Box if neg else Diamond) and isinstance(body.program, Atomic):
+        target = body.body
+        if neg:
+            target = target.body if isinstance(target, Neg) else None
+        if isinstance(target, Nominal):
+            return target.name
+    return None
+
+
+def _edge(i: str, action: Program, j: str, neg: bool) -> SignedFormula:
+    """The relational literal from i to j: @'i <a>'j, or @'i ![a]!'j under neg."""
+    if neg:
+        return _stmt(i, Box(action, Neg(Nominal(j))), True)
+    return _stmt(i, Diamond(action, Nominal(j)))
+
+
+def _eventual(modality: type, neg: bool, minus: bool) -> bool:
+    """Whether a modality, read under its decorations, asks for a
+    successor (a diamond) rather than ranging over all of them (a box)."""
+    return (modality is Diamond) ^ neg ^ minus
 
 
 # ---------------------------------------------------------------------------
-# Principal (destructive) rule dispatch
+# The rule table
+#
+# Every builder takes the premise's decorated view, whether the rule
+# splits, and a fresh-nominal callback, and returns the conclusion columns
+# (one or two) with the parents of the nominals it made.
 
-# A builder takes a fresh-nominal callback and returns
-# (rule name, conclusion sets (one or two), fresh parents).
-_Builder = Callable[[Callable[[], str]], tuple[str, list[list[SignedFormula]], dict[str, str]]]
-
-
-def _simple(rule: str, conclusions: list[SignedFormula]):
-    def build(_fresh):
-        return rule, [conclusions], {}
-
-    return build
+_Columns = tuple[list[list[SignedFormula]], dict[str, str]]
 
 
-def _split(rule: str, left: list[SignedFormula], right: list[SignedFormula]):
-    def build(_fresh):
-        return rule, [left, right], {}
-
-    return build
-
-
-def _composite_rule(
-    nominal: str, box: bool, program: Program, body: Formula, neg: bool, minus: bool
-) -> tuple[int, _Builder]:
-    wrap = Box if box else Diamond
-    name = ("neg-" if neg else "") + ("box" if box else "dia")
-    suffix = "-minus" if minus else ""
-
-    def dec(f: Formula, m: bool = minus) -> SignedFormula:
-        return _stmt(nominal, f, neg, m)
-
-    if isinstance(program, Seq):
-        inner = wrap(program.first, wrap(program.second, body))
-        return _TIER_DESTRUCTIVE, _simple(f"{name}-seq{suffix}", [dec(inner)])
-    if isinstance(program, Choice):
-        left = wrap(program.left, body)
-        right = wrap(program.right, body)
-        inner = And(left, right) if box else Or(left, right)
-        return _TIER_DESTRUCTIVE, _simple(f"{name}-choice{suffix}", [dec(inner)])
-    if isinstance(program, Test):
-        inner = (
-            Implies(program.condition, body) if box else And(program.condition, body)
-        )
-        return _TIER_DESTRUCTIVE, _simple(f"{name}-test{suffix}", [dec(inner)])
-    if isinstance(program, Star):
-        unfold = wrap(program.body, wrap(program, body))
-        rule = f"{name}-star{suffix}"
-        branching = (neg == minus) != box  # box splits on mixed marks, diamond on equal
-        if branching:
-            return _TIER_BRANCHING, _split(
-                rule, [dec(body)], [_flip_minus(dec(body)), dec(unfold)]
-            )
-        return _TIER_DESTRUCTIVE, _simple(rule, [dec(body), dec(unfold)])
-    raise TypeError(f"not a composite program: {program!r}")
+def _binary(i, neg, minus, f, split, fresh) -> _Columns:
+    left = _stmt(i, f.left, neg, minus != isinstance(f, Implies))
+    right = _stmt(i, f.right, neg, minus)
+    return ([[left], [right]] if split else [[left, right]]), {}
 
 
-def _principal(stmt: SignedFormula) -> Optional[tuple[int, _Builder]]:
-    """The destructive rule a statement is premise of, if any, with its
-    agenda tier.  Relational and propositional literals have none."""
+def _at_elim(i, neg, minus, f, split, fresh) -> _Columns:
+    return [[_stmt(f.nominal, f.body, neg, minus)]], {}
+
+
+def _double_neg(i, neg, minus, f, split, fresh) -> _Columns:
+    return [[_stmt(i, f.body, False, minus)]], {}
+
+
+def _id_minus(i, neg, minus, f, split, fresh) -> _Columns:
+    return [[_stmt(i, Neg(f) if neg else f, True)]], {}
+
+
+def _exist(i, neg, minus, f, split, fresh) -> _Columns:
+    t = fresh()
+    return [[_edge(i, f.program, t, neg), _stmt(t, f.body, neg, minus)]], {t: i}
+
+
+def _at_intro_minus(i, neg, minus, f, split, fresh) -> _Columns:
+    t = fresh()
+    return [[_stmt(t, f, neg, minus)]], {t: i}
+
+
+def _seq(i, neg, minus, f, split, fresh) -> _Columns:
+    wrap, program = type(f), f.program
+    return [[_stmt(i, wrap(program.first, wrap(program.second, f.body)), neg, minus)]], {}
+
+
+def _choice(i, neg, minus, f, split, fresh) -> _Columns:
+    wrap, program = type(f), f.program
+    join = And if wrap is Box else Or
+    inner = join(wrap(program.left, f.body), wrap(program.right, f.body))
+    return [[_stmt(i, inner, neg, minus)]], {}
+
+
+def _test(i, neg, minus, f, split, fresh) -> _Columns:
+    condition = f.program.condition
+    inner = Implies(condition, f.body) if isinstance(f, Box) else And(condition, f.body)
+    return [[_stmt(i, inner, neg, minus)]], {}
+
+
+def _star(i, neg, minus, f, split, fresh) -> _Columns:
+    now = _stmt(i, f.body, neg, minus)
+    later = _stmt(i, type(f)(f.program.body, f), neg, minus)
+    if split:
+        return [[now], [_stmt(i, f.body, neg, not minus), later]], {}
+    return [[now, later]], {}
+
+
+class _Rule(NamedTuple):
+    name: str
+    tier: int
+    build: Callable[..., _Columns]
+
+
+def _rule_table() -> dict[tuple, _Rule]:
+    """The destructive rules, keyed by (body class, program class or None,
+    neg, minus).  Each connective is written once, for the plain
+    decoration; neg and minus follow from the two dualities."""
+    table: dict[tuple, _Rule] = {}
+    for neg in (False, True):
+        for minus in (False, True):
+            pre, post = ("neg-" if neg else ""), ("-minus" if minus else "")
+
+            def put(key, name: str, tier: int, build) -> None:
+                table[key + (neg, minus)] = _Rule(name, tier, build)
+
+            for connective, name, disjunctive in (
+                (And, "and", False),
+                (Or, "or", True),
+                (Implies, "imp", True),
+            ):
+                split = disjunctive ^ neg ^ minus
+                put((connective, None), pre + name + post,
+                    _TIER_BRANCHING if split else _TIER_DESTRUCTIVE, _binary)
+            put((At, None), ("neg-at" if neg else "at-elim") + post, _TIER_DESTRUCTIVE, _at_elim)
+            if neg:
+                put((Neg, None), "neg-neg" + post, _TIER_DESTRUCTIVE, _double_neg)
+            if minus:
+                put((Nominal, None), "id-minus", _TIER_DESTRUCTIVE, _id_minus)
+            for modality, mname in ((Diamond, "dia"), (Box, "box")):
+                eventual = _eventual(modality, neg, minus)
+                if eventual:  # the universal atomic modalities act through pair rules
+                    put((modality, Atomic), f"{pre}{mname}{post}-exist", _TIER_EXISTENTIAL, _exist)
+                for program, pname, build in (
+                    (Seq, "seq", _seq),
+                    (Choice, "choice", _choice),
+                    (Test, "test", _test),
+                    (Star, "star", _star),
+                ):
+                    tier = _TIER_BRANCHING if program is Star and eventual else _TIER_DESTRUCTIVE
+                    put((modality, program), f"{pre}{mname}-{pname}{post}", tier, build)
+    return table
+
+
+_RULES = _rule_table()
+_AT_INTRO_MINUS = _Rule("at-intro-minus", _TIER_DESTRUCTIVE, _at_intro_minus)
+
+
+def _dispatch(stmt: SignedFormula) -> Optional[tuple[_Rule, tuple]]:
+    """The destructive rule a statement is premise of, if any, with the
+    view its builder takes.  Literals, constants and the universal atomic
+    modalities have none; plain raw roots are prefixed by the at-intro
+    pair rule."""
     f = stmt.formula
     if not isinstance(f, At):
-        if stmt.minus:
-            body = f
-
-            def build(fresh):
-                t = fresh()
-                return "at-intro-minus", [[SignedFormula(At(t, body), True)]], {t: ROOT_ORIGIN}
-
-            return _TIER_DESTRUCTIVE, build
-        return None  # plain raw roots are prefixed by the at-intro pair rule
-    i, chi = f.nominal, f.body
-    if not stmt.minus:
-        if isinstance(chi, At):
-            return _TIER_DESTRUCTIVE, _simple(
-                "at-elim", [SignedFormula(At(chi.nominal, chi.body))]
-            )
-        if isinstance(chi, And):
-            return _TIER_DESTRUCTIVE, _simple(
-                "and", [_stmt(i, chi.left), _stmt(i, chi.right)]
-            )
-        if isinstance(chi, Or):
-            return _TIER_BRANCHING, _split(
-                "or", [_stmt(i, chi.left)], [_stmt(i, chi.right)]
-            )
-        if isinstance(chi, Implies):
-            return _TIER_BRANCHING, _split(
-                "imp", [_stmt(i, chi.left, minus=True)], [_stmt(i, chi.right)]
-            )
-        if isinstance(chi, Diamond):
-            if isinstance(chi.program, Atomic):
-                if isinstance(chi.body, Nominal):
-                    return None  # relational literal
-                program, body = chi.program, chi.body
-
-                def build(fresh):
-                    t = fresh()
-                    conclusions = [
-                        SignedFormula(At(i, Diamond(program, Nominal(t)))),
-                        SignedFormula(At(t, body)),
-                    ]
-                    return "dia-exist", [conclusions], {t: i}
-
-                return _TIER_EXISTENTIAL, build
-            return _composite_rule(i, False, chi.program, chi.body, False, False)
-        if isinstance(chi, Box):
-            if isinstance(chi.program, Atomic):
-                return None  # acts through the box pair rule
-            return _composite_rule(i, True, chi.program, chi.body, False, False)
-        if isinstance(chi, Neg):
-            return _principal_neg(i, chi.body)
-        return None  # p, 'j, false (false closes at insertion)
-    # minus statements
-    if isinstance(chi, At):
-        return _TIER_DESTRUCTIVE, _simple(
-            "at-elim-minus", [SignedFormula(At(chi.nominal, chi.body), True)]
-        )
-    if isinstance(chi, And):
-        return _TIER_BRANCHING, _split(
-            "and-minus",
-            [_stmt(i, chi.left, minus=True)],
-            [_stmt(i, chi.right, minus=True)],
-        )
-    if isinstance(chi, Or):
-        return _TIER_DESTRUCTIVE, _simple(
-            "or-minus",
-            [_stmt(i, chi.left, minus=True), _stmt(i, chi.right, minus=True)],
-        )
-    if isinstance(chi, Implies):
-        return _TIER_DESTRUCTIVE, _simple(
-            "imp-minus", [_stmt(i, chi.left), _stmt(i, chi.right, minus=True)]
-        )
-    if isinstance(chi, Nominal):
-        return _TIER_DESTRUCTIVE, _simple("id-minus", [_stmt(i, chi, neg=True)])
-    if isinstance(chi, Diamond):
-        if isinstance(chi.program, Atomic):
-            return None  # acts through the minus diamond pair rule
-        return _composite_rule(i, False, chi.program, chi.body, False, True)
-    if isinstance(chi, Box):
-        if isinstance(chi.program, Atomic):
-            program, body = chi.program, chi.body
-
-            def build(fresh):
-                t = fresh()
-                conclusions = [
-                    SignedFormula(At(i, Diamond(program, Nominal(t)))),
-                    SignedFormula(At(t, body), True),
-                ]
-                return "box-minus-exist", [conclusions], {t: i}
-
-            return _TIER_EXISTENTIAL, build
-        return _composite_rule(i, True, chi.program, chi.body, False, True)
-    if isinstance(chi, Neg):
-        return _principal_neg_minus(i, chi.body)
-    return None  # (@'i p)- and (@'i false)- are terminal constraints
+        # a minus raw root is prefixed by a fresh nominal born at the root
+        return (_AT_INTRO_MINUS, (ROOT_ORIGIN, False, True, f)) if stmt.minus else None
+    view = _view(stmt)
+    _, neg, minus, body = view
+    if not minus and _edge_target(neg, body) is not None:
+        return None  # a relational literal
+    program = type(body.program) if isinstance(body, (Diamond, Box)) else None
+    rule = _RULES.get((type(body), program, neg, minus))
+    return None if rule is None else (rule, view)
 
 
-def _principal_neg(i: str, delta: Formula) -> Optional[tuple[int, _Builder]]:
-    """Plain statements @'i !delta."""
-    if isinstance(delta, (PropVar, Nominal, Bottom)):
-        return None  # literal or constant (@'i !'i closes at insertion)
-    if isinstance(delta, Neg):
-        return _TIER_DESTRUCTIVE, _simple("neg-neg", [_stmt(i, delta.body)])
-    if isinstance(delta, And):
-        return _TIER_BRANCHING, _split(
-            "neg-and", [_stmt(i, delta.left, neg=True)], [_stmt(i, delta.right, neg=True)]
-        )
-    if isinstance(delta, Or):
-        return _TIER_DESTRUCTIVE, _simple(
-            "neg-or", [_stmt(i, delta.left, neg=True), _stmt(i, delta.right, neg=True)]
-        )
-    if isinstance(delta, Implies):
-        return _TIER_DESTRUCTIVE, _simple(
-            "neg-imp",
-            [_stmt(i, delta.left, neg=True, minus=True), _stmt(i, delta.right, neg=True)],
-        )
-    if isinstance(delta, At):
-        return _TIER_DESTRUCTIVE, _simple(
-            "neg-at", [_stmt(delta.nominal, delta.body, neg=True)]
-        )
-    if isinstance(delta, Diamond):
-        if isinstance(delta.program, Atomic):
-            return None  # acts through the negative diamond pair rule
-        return _composite_rule(i, False, delta.program, delta.body, True, False)
-    if isinstance(delta, Box):
-        if isinstance(delta.program, Atomic):
-            if isinstance(delta.body, Neg) and isinstance(delta.body.body, Nominal):
-                return None  # relational literal !['a]!'j
-            program, body = delta.program, delta.body
-
-            def build(fresh):
-                t = fresh()
-                conclusions = [
-                    SignedFormula(At(i, Neg(Box(program, Neg(Nominal(t)))))),
-                    SignedFormula(At(t, Neg(body))),
-                ]
-                return "neg-box-exist", [conclusions], {t: i}
-
-            return _TIER_EXISTENTIAL, build
-        return _composite_rule(i, True, delta.program, delta.body, True, False)
-    raise TypeError(f"not a formula: {delta!r}")
-
-
-def _principal_neg_minus(i: str, delta: Formula) -> Optional[tuple[int, _Builder]]:
-    """Minus statements (@'i !delta)-."""
-    if isinstance(delta, Nominal):
-        return _TIER_DESTRUCTIVE, _simple("id-minus", [_stmt(i, Neg(delta), neg=True)])
-    if isinstance(delta, (PropVar, Bottom)):
-        return None  # constraint; (@'i !false)- closes at insertion
-    if isinstance(delta, Neg):
-        return _TIER_DESTRUCTIVE, _simple(
-            "neg-neg-minus", [_stmt(i, delta.body, minus=True)]
-        )
-    if isinstance(delta, And):
-        return _TIER_DESTRUCTIVE, _simple(
-            "neg-and-minus",
-            [
-                _stmt(i, delta.left, neg=True, minus=True),
-                _stmt(i, delta.right, neg=True, minus=True),
-            ],
-        )
-    if isinstance(delta, Or):
-        return _TIER_BRANCHING, _split(
-            "neg-or-minus",
-            [_stmt(i, delta.left, neg=True, minus=True)],
-            [_stmt(i, delta.right, neg=True, minus=True)],
-        )
-    if isinstance(delta, Implies):
-        return _TIER_BRANCHING, _split(
-            "neg-imp-minus",
-            [_stmt(i, delta.left, neg=True)],
-            [_stmt(i, delta.right, neg=True, minus=True)],
-        )
-    if isinstance(delta, At):
-        return _TIER_DESTRUCTIVE, _simple(
-            "neg-at-minus", [_stmt(delta.nominal, delta.body, neg=True, minus=True)]
-        )
-    if isinstance(delta, Diamond):
-        if isinstance(delta.program, Atomic):
-            program, body = delta.program, delta.body
-
-            def build(fresh):
-                t = fresh()
-                conclusions = [
-                    SignedFormula(At(i, Neg(Box(program, Neg(Nominal(t)))))),
-                    SignedFormula(At(t, Neg(body)), True),
-                ]
-                return "neg-dia-minus-exist", [conclusions], {t: i}
-
-            return _TIER_EXISTENTIAL, build
-        return _composite_rule(i, False, delta.program, delta.body, True, True)
-    if isinstance(delta, Box):
-        if isinstance(delta.program, Atomic):
-            return None  # acts through the minus negative box pair rule
-        return _composite_rule(i, True, delta.program, delta.body, True, True)
-    raise TypeError(f"not a formula: {delta!r}")
+def _conclude(
+    stmt: SignedFormula, fresh: Callable[[], str]
+) -> tuple[str, list[list[SignedFormula]], dict[str, str]]:
+    """(rule name, conclusion columns, fresh nominals' parents) of the
+    destructive rule a statement is premise of."""
+    rule, view = _dispatch(stmt)
+    columns, parents = rule.build(*view, rule.tier == _TIER_BRANCHING, fresh)
+    return rule.name, columns, parents
 
 
 # ---------------------------------------------------------------------------
@@ -424,12 +340,11 @@ class Branch:
         # these sets, so they are maintained incrementally (growing only).
         self.cl_statements: dict[str, set[tuple[bool, bool, Formula]]] = {}
         self.raw_plain: list[Formula] = []
-        self.box_at: dict[tuple[str, str], list[Formula]] = {}
-        self.diam_lit: dict[tuple[str, str], list[str]] = {}
-        self.neg_diam: dict[tuple[str, str], list[Formula]] = {}
-        self.negboxneg_lit: dict[tuple[str, str], list[str]] = {}
-        self.minus_diam: dict[tuple[str, str], list[Formula]] = {}
-        self.minus_negbox: dict[tuple[str, str], list[Formula]] = {}
+        # Premises of the pair rules: universal atomic modalities by
+        # (i, a, neg, minus), as (modality body, statement), and relational
+        # literals by (i, a, neg), as (target, statement).
+        self.universals: dict[tuple[str, str, bool, bool], list[tuple[Formula, SignedFormula]]] = {}
+        self.edges: dict[tuple[str, str, bool], list[tuple[str, SignedFormula]]] = {}
         self.equalities: dict[str, list[str]] = {}
         self.literals_at: dict[str, list[Formula]] = {}
         self.queues: tuple[deque, deque, deque, deque] = (
@@ -469,16 +384,7 @@ class Branch:
         clone.generation = dict(self.generation)
         clone.cl_statements = {n: set(s) for n, s in self.cl_statements.items()}
         clone.raw_plain = list(self.raw_plain)
-        for name in (
-            "box_at",
-            "diam_lit",
-            "neg_diam",
-            "negboxneg_lit",
-            "minus_diam",
-            "minus_negbox",
-            "equalities",
-            "literals_at",
-        ):
+        for name in ("universals", "edges", "equalities", "literals_at"):
             setattr(clone, name, {k: list(v) for k, v in getattr(self, name).items()})
         clone.queues = tuple(deque(q) for q in self.queues)
         clone.parked = list(self.parked)
@@ -534,9 +440,9 @@ class Branch:
             self._register_nominal(name, parents.get(name, ROOT_ORIGIN))
         self._update_cl_statements(stmt)
         self._check_closed(stmt)
-        principal = _principal(stmt)
-        if principal is not None:
-            self.queues[principal[0]].append(stmt)
+        hit = _dispatch(stmt)
+        if hit is not None:
+            self.queues[hit[0].tier].append(stmt)
         self._register_roles(stmt)
         return True
 
@@ -544,28 +450,12 @@ class Branch:
         f = stmt.formula
         if not isinstance(f, At):
             return
-        body = f.body
-        if not stmt.minus:
-            if isinstance(body, Nominal):
-                return
-            if (
-                isinstance(body, Diamond)
-                and isinstance(body.program, Atomic)
-                and isinstance(body.body, Nominal)
-            ):
-                return
-            if (
-                isinstance(body, Neg)
-                and isinstance(body.body, Box)
-                and isinstance(body.body.program, Atomic)
-                and isinstance(body.body.body, Neg)
-                and isinstance(body.body.body.body, Nominal)
-            ):
-                return
-        in_closure = body in self.closure or (
-            isinstance(body, Neg) and body.body in self.closure
-        )
-        if not in_closure:
+        _, neg, minus, body = _view(stmt)
+        if not minus and (
+            (not neg and isinstance(body, Nominal)) or _edge_target(neg, body) is not None
+        ):
+            return  # equalities and relational literals
+        if f.body not in self.closure and not (neg and body in self.closure):
             raise TableauError(f"statement escapes the root closure: {stmt}")
 
     def _update_cl_statements(self, stmt: SignedFormula) -> None:
@@ -584,7 +474,7 @@ class Branch:
         f = stmt.formula
         if not isinstance(f, At):
             return
-        if _flip_minus(stmt) in self.index:
+        if SignedFormula(f, not stmt.minus) in self.index:
             self.closed = True
             self.closed_reason = f"clash on {stmt}"
             return
@@ -622,134 +512,42 @@ class Branch:
                         )
                     )
             return
-        i, chi = f.nominal, f.body
-        if stmt.minus:
-            if isinstance(chi, Diamond) and isinstance(chi.program, Atomic):
-                key = (i, chi.program.name)
-                self.minus_diam.setdefault(key, []).append(chi.body)
-                for j in self.diam_lit.get(key, []):
-                    self._enqueue_pair(
-                        _PairTask(
-                            "dia-minus-pair",
-                            (stmt, _stmt(i, Diamond(chi.program, Nominal(j)))),
-                            (SignedFormula(At(j, chi.body), True),),
-                        )
-                    )
-            elif (
-                isinstance(chi, Neg)
-                and isinstance(chi.body, Box)
-                and isinstance(chi.body.program, Atomic)
-            ):
-                key = (i, chi.body.program.name)
-                body = chi.body.body
-                self.minus_negbox.setdefault(key, []).append(body)
-                for j in self.negboxneg_lit.get(key, []):
-                    self._enqueue_pair(
-                        _PairTask(
-                            "neg-box-minus-pair",
-                            (
-                                stmt,
-                                _stmt(i, Box(chi.body.program, Neg(Nominal(j))), neg=True),
-                            ),
-                            (SignedFormula(At(j, Neg(body)), True),),
-                        )
-                    )
+        i, neg, minus, body = _view(stmt)
+        if isinstance(body, (Diamond, Box)) and isinstance(body.program, Atomic):
+            key = (i, body.program.name, neg)
+            if not _eventual(type(body), neg, minus):
+                self.universals.setdefault(key + (minus,), []).append((body.body, stmt))
+                for j, edge in self.edges.get(key, ()):
+                    self._enqueue_pair(_pair_task(stmt, edge, body.body, j, neg, minus))
+            elif not minus:
+                j = _edge_target(neg, body)
+                if j is not None:
+                    self.edges.setdefault(key, []).append((j, stmt))
+                    for premise_minus in (False, True):
+                        for phi, premise in self.universals.get(key + (premise_minus,), ()):
+                            self._enqueue_pair(
+                                _pair_task(premise, stmt, phi, j, neg, premise_minus)
+                            )
+        if minus:
             return
-        if isinstance(chi, Box) and isinstance(chi.program, Atomic):
-            key = (i, chi.program.name)
-            self.box_at.setdefault(key, []).append(chi.body)
-            for j in self.diam_lit.get(key, []):
-                self._enqueue_pair(
-                    _PairTask(
-                        "box-pair",
-                        (stmt, _stmt(i, Diamond(chi.program, Nominal(j)))),
-                        (SignedFormula(At(j, chi.body)),),
-                    )
-                )
-        if (
-            isinstance(chi, Diamond)
-            and isinstance(chi.program, Atomic)
-            and isinstance(chi.body, Nominal)
-        ):
-            key = (i, chi.program.name)
-            j = chi.body.name
-            self.diam_lit.setdefault(key, []).append(j)
-            for phi in self.box_at.get(key, []):
-                self._enqueue_pair(
-                    _PairTask(
-                        "box-pair",
-                        (_stmt(i, Box(chi.program, phi)), stmt),
-                        (SignedFormula(At(j, phi)),),
-                    )
-                )
-            for phi in self.minus_diam.get(key, []):
-                self._enqueue_pair(
-                    _PairTask(
-                        "dia-minus-pair",
-                        (SignedFormula(At(i, Diamond(chi.program, phi)), True), stmt),
-                        (SignedFormula(At(j, phi), True),),
-                    )
-                )
-        if isinstance(chi, Neg) and isinstance(chi.body, Diamond) and isinstance(
-            chi.body.program, Atomic
-        ):
-            key = (i, chi.body.program.name)
-            self.neg_diam.setdefault(key, []).append(chi.body.body)
-            for j in self.negboxneg_lit.get(key, []):
-                self._enqueue_pair(
-                    _PairTask(
-                        "neg-dia-pair",
-                        (stmt, _stmt(i, Box(chi.body.program, Neg(Nominal(j))), neg=True)),
-                        (SignedFormula(At(j, Neg(chi.body.body))),),
-                    )
-                )
-        if (
-            isinstance(chi, Neg)
-            and isinstance(chi.body, Box)
-            and isinstance(chi.body.program, Atomic)
-            and isinstance(chi.body.body, Neg)
-            and isinstance(chi.body.body.body, Nominal)
-        ):
-            key = (i, chi.body.program.name)
-            j = chi.body.body.body.name
-            self.negboxneg_lit.setdefault(key, []).append(j)
-            for phi in self.neg_diam.get(key, []):
-                self._enqueue_pair(
-                    _PairTask(
-                        "neg-dia-pair",
-                        (_stmt(i, Diamond(chi.body.program, phi), neg=True), stmt),
-                        (SignedFormula(At(j, Neg(phi))),),
-                    )
-                )
-            for phi in self.minus_negbox.get(key, []):
-                self._enqueue_pair(
-                    _PairTask(
-                        "neg-box-minus-pair",
-                        (
-                            SignedFormula(At(i, Neg(Box(chi.body.program, phi))), True),
-                            stmt,
-                        ),
-                        (SignedFormula(At(j, Neg(phi)), True),),
-                    )
-                )
-        if isinstance(chi, Nominal):
-            self.equalities.setdefault(i, []).append(chi.name)
+        if not neg and isinstance(body, Nominal):
+            self.equalities.setdefault(i, []).append(body.name)
             for lit in self.literals_at.get(i, []):
                 self._enqueue_pair(
                     _PairTask(
                         "nom",
                         (stmt, SignedFormula(At(i, lit))),
-                        (SignedFormula(At(chi.name, lit)),),
+                        (SignedFormula(At(body.name, lit)),),
                     )
                 )
-        if _is_literal_body(chi):
-            self.literals_at.setdefault(i, []).append(chi)
+        if isinstance(body, (PropVar, Nominal)) or _edge_target(neg, body) is not None:
+            self.literals_at.setdefault(i, []).append(f.body)
             for j in self.equalities.get(i, []):
                 self._enqueue_pair(
                     _PairTask(
                         "nom",
                         (_stmt(i, Nominal(j)), stmt),
-                        (SignedFormula(At(j, chi)),),
+                        (SignedFormula(At(j, f.body)),),
                     )
                 )
 
@@ -842,7 +640,7 @@ class Branch:
         if bf.destructive_applied:
             return None
         bf.destructive_applied = True
-        rule, branches, fresh_parents = _principal(stmt)[1](self.fresh_nominal)
+        rule, branches, fresh_parents = _conclude(stmt, self.fresh_nominal)
         if stats is not None and fresh_parents:
             stats.fresh_nominals += len(fresh_parents)
         if len(branches) == 1:
@@ -984,48 +782,23 @@ def inclusion(
 def _ignorable_scan(branch: Branch) -> Optional[tuple[str, Formula, str]]:
     """Returns (kind, star formula, witness) for the first matching
     ignorable pattern, if any."""
-    # kind: plain diamond, minus negative diamond, minus box, plain negative box
-    groups: dict[tuple[str, Formula], list[str]] = {}
+    # A star eventuality @'i <α*>φ (or its dual under the decorations) is
+    # fulfilled at j when @'j φ carries the same neg and the opposite mark.
+    groups: dict[tuple[bool, bool, Formula], list[str]] = {}
     for bf in branch.formulas:
-        f = bf.statement.formula
-        if not isinstance(f, At):
+        if not isinstance(bf.statement.formula, At):
             continue
-        body = f.body
-        if not bf.statement.minus:
-            if isinstance(body, Diamond) and isinstance(body.program, Star):
-                groups.setdefault(("dia-star", body), []).append(f.nominal)
-            elif (
-                isinstance(body, Neg)
-                and isinstance(body.body, Box)
-                and isinstance(body.body.program, Star)
-            ):
-                groups.setdefault(("neg-box-star", body), []).append(f.nominal)
-        else:
-            if isinstance(body, Box) and isinstance(body.program, Star):
-                groups.setdefault(("box-star-minus", body), []).append(f.nominal)
-            elif (
-                isinstance(body, Neg)
-                and isinstance(body.body, Diamond)
-                and isinstance(body.body.program, Star)
-            ):
-                groups.setdefault(("neg-dia-star-minus", body), []).append(f.nominal)
-    for (kind, body), nominals in groups.items():
-        if kind == "dia-star":
-            phi = body.body
-            fulfilled = lambda j: branch.contains(SignedFormula(At(j, phi), True))
-        elif kind == "neg-box-star":
-            phi = body.body.body
-            fulfilled = lambda j: branch.contains(
-                SignedFormula(At(j, Neg(phi)), True)
-            )
-        elif kind == "box-star-minus":
-            phi = body.body
-            fulfilled = lambda j: branch.contains(SignedFormula(At(j, phi)))
-        else:  # neg-dia-star-minus
-            phi = body.body.body
-            fulfilled = lambda j: branch.contains(SignedFormula(At(j, Neg(phi))))
-        if all(fulfilled(j) for j in nominals):
-            return kind, body, nominals[0]
+        i, neg, minus, body = _view(bf.statement)
+        if (
+            isinstance(body, (Diamond, Box))
+            and isinstance(body.program, Star)
+            and _eventual(type(body), neg, minus)
+        ):
+            groups.setdefault((neg, minus, body), []).append(i)
+    for (neg, minus, body), nominals in groups.items():
+        if all(branch.contains(_stmt(j, body.body, neg, not minus)) for j in nominals):
+            kind = _RULES[(type(body), Star, neg, minus)].name
+            return kind, Neg(body) if neg else body, nominals[0]
     return None
 
 
@@ -1105,20 +878,17 @@ def extract_model(branch: Branch) -> Model:
     every_pair = frozenset((u, v) for u in worlds for v in worlds)
     pos_rel: dict[str, set[tuple[str, str]]] = {a: set() for a in sig.actions}
     neg_complement: dict[str, set[tuple[str, str]]] = {a: set() for a in sig.actions}
-    for literal_index, target_rel in (
-        (branch.diam_lit, pos_rel),
-        (branch.negboxneg_lit, neg_complement),
-    ):
-        for (i, action), targets in literal_index.items():
-            if i not in member:
-                continue
-            for x in targets:
-                if x in member:
-                    target_rel[action].add((find(i), find(x)))
-                else:
-                    for j in unblocked:
-                        if branch.included_in(x, j):
-                            target_rel[action].add((find(i), find(j)))
+    for (i, action, neg), edges in branch.edges.items():
+        if i not in member:
+            continue
+        target_rel = neg_complement if neg else pos_rel
+        for x, _ in edges:
+            if x in member:
+                target_rel[action].add((find(i), find(x)))
+            else:
+                for j in unblocked:
+                    if branch.included_in(x, j):
+                        target_rel[action].add((find(i), find(j)))
     neg_rel = {
         a: frozenset(every_pair - frozenset(neg_complement[a])) for a in sig.actions
     }

@@ -285,6 +285,14 @@ class TestOracle:
         )
         assert code == 1
 
+    def test_nonpositive_world_bound_is_usage_error(self, capsys, monkeypatch):
+        code, out, err = invoke(capsys, "oracle", "--formula", "p | !p", "--max-worlds", "0")
+        assert (code, out) == (2, "")
+        monkeypatch.setenv("PDL4_MAX_WORLDS", "0")
+        code, out, err = invoke(capsys, "oracle", "--formula", "p | !p")
+        assert (code, out) == (2, "")
+        assert "max_worlds" in err
+
     def test_nonpositive_sample_count_is_usage_error(self, capsys):
         for count in ("0", "-3"):
             code, out, err = invoke(capsys, "oracle", "--formula", "p | ~p", "--samples", count)

@@ -42,6 +42,7 @@ from pdl4.syntax import (
     render_program,
     top,
 )
+from pdl4 import syntax
 from pdl4.generators import random_formula, random_program
 
 p, q = PropVar("p"), PropVar("q")
@@ -96,6 +97,26 @@ class TestParsing:
             parse_formula("!" * 3000 + "p")
         with pytest.raises(ParseError, match="nested too deeply"):
             parse_program("(" * 3000 + "a" + ")" * 3000)
+
+    def test_tests_nested_in_programs_parse_in_linear_time(self, monkeypatch):
+        # Each level opens a group that is first read as a test formula and
+        # then, when no '?' follows it, reread as a program.
+        program = "a"
+        for _ in range(12):
+            program = f"(<{program}>p?;a)"
+        text = f"<{program}>p"
+        calls = 0
+        advance = syntax._Parser.advance
+
+        def counting(parser):
+            nonlocal calls
+            calls += 1
+            return advance(parser)
+
+        monkeypatch.setattr(syntax._Parser, "advance", counting)
+        f = parse_formula(text)
+        assert isinstance(f, Diamond) and isinstance(f.program, Seq)
+        assert calls <= 5 * len(syntax._tokenize(text))
 
 
 class TestRendering:

@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 from pdl4.generators import random_formula, random_model
@@ -29,6 +30,7 @@ from pdl4.tableau import (
     ROOT_ORIGIN,
     BranchStatus,
     TableauLimits,
+    _conclude,
     apply_rules_step,
     classify,
     extract_model,
@@ -737,12 +739,30 @@ def test_rule_local_soundness():
     assert hits > 100
 
 
-# (verdict, steps, branches, fresh nominals, serialized countermodel) for
-# fast problems of the acceptance gate's consequence corpus, keyed by corpus
-# index, under the default limits.  Recorded before formula nodes cached
-# their hashes; any change to rule order or to the loop-check moves them.
+def test_rule_table_gives_the_listed_columns():
+    # The single-premise instances list each rule's conclusion columns in
+    # the order the prover adds them.
+    checked = 0
+    for premises, columns in _RULE_INSTANCES:
+        if isinstance(premises, list):
+            continue
+        _, built, parents = _conclude(premises, lambda: "t0")
+        assert built == columns, str(premises)
+        assert parents == {}
+        checked += 1
+    assert checked == 35
+
+
+# (verdict, steps, branches, fresh nominals, sha256 of the transcript lines
+# joined by newlines, serialized countermodel) for fast problems of the
+# acceptance gate's consequence corpus, keyed by corpus index, under the
+# default limits.  The counts and models were recorded before formula nodes
+# cached their hashes, the digests before one rule table replaced the
+# per-decoration rule functions; any change to rule names, rule order or the
+# loop-check moves them.
 _GOLDEN = {
-    0: ("refuted", 8, 3, 1, (
+    0: ("refuted", 8, 3, 1,
+        "5ea6d6b93be7be38acf010d1b7148bec5d0c47b4dd81fbd03b37c4d3a93b05b0", (
         "worlds: t0\n"
         "name 't0 = t0\n"
         "prop p pos: t0\n"
@@ -750,14 +770,16 @@ _GOLDEN = {
         "prop q pos:\n"
         "prop q neg:\n"
     )),
-    1: ("refuted", 25, 9, 1, (
+    1: ("refuted", 25, 9, 1,
+        "f79d4662874869d78b043b4166b885416f9690848bb8623a72a8998ed6b7c5e5", (
         "worlds: i\n"
         "name 'i = i\n"
         "name 't0 = i\n"
         "action a pos:\n"
         "action a neg: (i,i)\n"
     )),
-    2: ("refuted", 97, 13, 5, (
+    2: ("refuted", 97, 13, 5,
+        "37216db1817a0363cc058159f49f0a578c043d9e506082b68a911f326a534f66", (
         "worlds: i t0 t1 t2\n"
         "name 'i = i\n"
         "name 't0 = t0\n"
@@ -771,8 +793,10 @@ _GOLDEN = {
         "prop p pos: i t1\n"
         "prop p neg: t1 t2\n"
     )),
-    15: ("proved", 51, 2, 6, None),
-    53: ("refuted", 56, 16, 2, (
+    15: ("proved", 51, 2, 6,
+        "720fbacb12952760b303097744bcb69b8b0966a49a615dfa77bac0801d71a26f", None),
+    53: ("refuted", 56, 16, 2,
+        "2b8d9477b2c965c80fa44aa40d0274130298d4a288382c79571b8703b8d430fb", (
         "worlds: i t0 t1\n"
         "name 'i = i\n"
         "name 't0 = t0\n"
@@ -781,7 +805,8 @@ _GOLDEN = {
         "action a neg: (i,i) (i,t0) (i,t1) (t0,i) (t0,t0) (t0,t1) (t1,i) (t1,t0) "
         "(t1,t1)\n"
     )),
-    66: ("refuted", 24, 6, 4, (
+    66: ("refuted", 24, 6, 4,
+        "4e5912db2bbb07a640a4470254490fa23dc9173be3aef8ce4251151e269574be", (
         "worlds: i t1\n"
         "name 'i = i\n"
         "name 't0 = i\n"
@@ -793,7 +818,8 @@ _GOLDEN = {
         "prop p pos:\n"
         "prop p neg:\n"
     )),
-    73: ("refuted", 125, 23, 9, (
+    73: ("refuted", 125, 23, 9,
+        "708fe25414655f7e9bf43ea2bc061ec9d613972dba4a72139b88ff4e98a83004", (
         "worlds: i t0 t3\n"
         "name 'i = i\n"
         "name 't0 = t0\n"
@@ -809,9 +835,12 @@ _GOLDEN = {
         "action a neg: (i,i) (i,t0) (i,t3) (t0,i) (t0,t0) (t0,t3) (t3,i) (t3,t0) "
         "(t3,t3)\n"
     )),
-    82: ("proved", 27, 3, 2, None),
-    105: ("proved", 408, 108, 7, None),
-    109: ("refuted", 63, 9, 4, (
+    82: ("proved", 27, 3, 2,
+        "6948bffe7ec732a0c1289a4d917857b8238160190b43dab2080cd5a2caff63b5", None),
+    105: ("proved", 408, 108, 7,
+        "7f80f0281d13a7409bc29cc05d67348c9dd4eb138dedc429f84e8266d8d84369", None),
+    109: ("refuted", 63, 9, 4,
+        "57d13a85b4f762437e66bc2c2fcb7cdf32c194f5e3574d10531b36a2eb037727", (
         "worlds: i t0\n"
         "name 'i = i\n"
         "name 't0 = t0\n"
@@ -821,8 +850,10 @@ _GOLDEN = {
         "action a pos: (i,i) (t0,i)\n"
         "action a neg: (i,i) (i,t0) (t0,i) (t0,t0)\n"
     )),
-    110: ("proved", 368, 52, 96, None),
-    114: ("refuted", 31, 5, 3, (
+    110: ("proved", 368, 52, 96,
+        "ec54492668cf70b14a1e37246780b4bcbb1e6bef436078e9705f94565970c6a9", None),
+    114: ("refuted", 31, 5, 3,
+        "502899fcfb41e13baf14416a36394046f43a0e66eab5214bdac89ae3d4a2b484", (
         "worlds: i t0 t1\n"
         "name 'i = i\n"
         "name 't0 = t0\n"
@@ -833,7 +864,8 @@ _GOLDEN = {
         "prop p pos:\n"
         "prop p neg:\n"
     )),
-    146: ("refuted", 54, 14, 7, (
+    146: ("refuted", 54, 14, 7,
+        "0a4550bd259e7aac78e4482f41df416d69eeedbd6006a42aced2f030b629b6c8", (
         "worlds: i t0 t1 t3\n"
         "name 'i = i\n"
         "name 't0 = t0\n"
@@ -849,7 +881,8 @@ _GOLDEN = {
         "prop p pos: i\n"
         "prop p neg:\n"
     )),
-    147: ("refuted", 34, 3, 3, (
+    147: ("refuted", 34, 3, 3,
+        "19de62cc16e4c261d60709c016a2483b6b49f06e5a44f6c621a850d2fde40bf0", (
         "worlds: t0 t1\n"
         "name 't0 = t0\n"
         "name 't1 = t1\n"
@@ -859,7 +892,8 @@ _GOLDEN = {
         "prop p pos: t1\n"
         "prop p neg: t0 t1\n"
     )),
-    154: ("refuted", 45, 10, 6, (
+    154: ("refuted", 45, 10, 6,
+        "37ff61c10c921714d5d95ac08908e5505d703f7a7a082e2fec7630bcfe49da48", (
         "worlds: i t0 t1 t4\n"
         "name 'i = i\n"
         "name 't0 = t0\n"
@@ -874,7 +908,8 @@ _GOLDEN = {
         "prop p pos: t4\n"
         "prop p neg:\n"
     )),
-    155: ("refuted", 31, 3, 4, (
+    155: ("refuted", 31, 3, 4,
+        "33772c9ac5222a19e4c627449a9a6e12d0e56f6245d525fd2c67f73370493c39", (
         "worlds: t0\n"
         "name 't0 = t0\n"
         "action a pos:\n"
@@ -882,8 +917,10 @@ _GOLDEN = {
         "prop p pos: t0\n"
         "prop p neg:\n"
     )),
-    157: ("proved", 350, 40, 14, None),
-    158: ("refuted", 114, 1, 11, (
+    157: ("proved", 350, 40, 14,
+        "805eab7cee25c1921ccf3a52aa9ea42585ad118770ce2f20dcca60c74b7b1ed0", None),
+    158: ("refuted", 114, 1, 11,
+        "e47bdb4787678143a46e6365d1456a79143711fd37f459e39688ebf8c740496d", (
         "worlds: i t0 t1 t2 t4 t6 t7\n"
         "name 'i = i\n"
         "name 't0 = t0\n"
@@ -908,9 +945,12 @@ _GOLDEN = {
         "prop p pos: t4 t6 t7\n"
         "prop p neg:\n"
     )),
-    166: ("proved", 85, 27, 4, None),
-    174: ("proved", 178, 8, 13, None),
-    193: ("proved", 35, 6, 2, None),
+    166: ("proved", 85, 27, 4,
+        "c3fed176bc9e5c617a1e2d9bc10fbcb7b6439fe552d8e288e45cd9df854dc88d", None),
+    174: ("proved", 178, 8, 13,
+        "e3372fbae04cdabc4d88f7a841e134b75f0e04cd7f7c6b6203c01579f6c6cb7d", None),
+    193: ("proved", 35, 6, 2,
+        "af5451223e9d226e8cfb66a67de1567a95f42f3070db5b9524ef025205e03dbf", None),
 }
 
 
@@ -920,7 +960,7 @@ def test_gate_corpus_golden():
     corpus = _consequence_corpus()
     for index, expected in _GOLDEN.items():
         hypotheses, goal = corpus[index]
-        result = prove_consequence(hypotheses, goal)
+        result = prove_consequence(hypotheses, goal, transcript=True)
         stats = result.stats
         model = result.countermodel
         observed = (
@@ -928,6 +968,7 @@ def test_gate_corpus_golden():
             stats.steps,
             stats.branches,
             stats.fresh_nominals,
+            hashlib.sha256("\n".join(result.transcript).encode()).hexdigest(),
             None if model is None else serialize_model(model),
         )
         assert observed == expected, index
