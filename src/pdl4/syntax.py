@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, fields
-from typing import Iterable, Iterator, Optional, Union
+from typing import Iterable, Iterator, NamedTuple, Optional, Union
 
 
 # ---------------------------------------------------------------------------
@@ -323,6 +323,7 @@ class ParseError(ValueError):
     """Syntax error with character position and the expected token set."""
 
     def __init__(self, message: str, position: int, expected: tuple[str, ...] = ()):
+        self.message = message
         self.position = position
         self.expected = expected
         detail = f"{message} at position {position}"
@@ -331,8 +332,7 @@ class ParseError(ValueError):
         super().__init__(detail)
 
 
-@dataclass(frozen=True)
-class _Token:
+class _Token(NamedTuple):
     kind: str
     value: str
     pos: int
@@ -359,16 +359,15 @@ def _tokenize(text: str) -> list[_Token]:
         m = _TOKEN_RE.match(text, pos)
         if m is None:
             raise ParseError(f"unexpected character {text[pos]!r}", pos)
-        if m.lastgroup == "nominal":
-            tokens.append(_Token("nominal", m.group()[1:], pos))
-        elif m.lastgroup == "ident":
-            word = m.group()
-            kind = word if word in _KEYWORDS else "ident"
-            tokens.append(_Token(kind, word, pos))
-        elif m.lastgroup == "arrow":
+        group, word = m.lastgroup, m.group()
+        if group == "punct":
+            tokens.append(_Token(word, word, pos))
+        elif group == "ident":
+            tokens.append(_Token(word if word in _KEYWORDS else "ident", word, pos))
+        elif group == "nominal":
+            tokens.append(_Token("nominal", word[1:], pos))
+        elif group == "arrow":
             tokens.append(_Token("->", "->", pos))
-        elif m.lastgroup == "punct":
-            tokens.append(_Token(m.group(), m.group(), pos))
         pos = m.end()
     tokens.append(_Token("eof", "", len(text)))
     return tokens
@@ -382,11 +381,14 @@ class _Parser:
     def __init__(self, tokens: list[_Token]):
         self.tokens = tokens
         self.pos = 0
-        # formula() by start position: (formula, end position) or the
-        # ParseError it raised.  A test in a program reparses the tokens a
-        # failed test reading consumed, which would otherwise take time
-        # exponential in the nesting.
-        self.formulas: dict[int, Union[tuple[Formula, int], ParseError]] = {}
+        # formula() by start position: (formula, end position), or the
+        # arguments of the ParseError it raised.  A test in a program
+        # reparses the tokens a failed test reading consumed, which would
+        # otherwise take time exponential in the nesting.  Failures are kept
+        # as plain arguments and raised afresh: a kept ParseError would hold
+        # its traceback's frames alive, and every re-raise would lengthen it.
+        self.formulas: dict[int, tuple[Formula, int]] = {}
+        self.failures: dict[int, tuple[str, int, tuple[str, ...]]] = {}
 
     def peek(self) -> _Token:
         return self.tokens[self.pos]
@@ -406,9 +408,10 @@ class _Parser:
 
     def formula(self) -> Formula:
         start = self.pos
+        failure = self.failures.get(start)
+        if failure is not None:
+            raise ParseError(*failure)
         known = self.formulas.get(start)
-        if isinstance(known, ParseError):
-            raise known
         if known is not None:
             f, self.pos = known
             return f
@@ -418,7 +421,7 @@ class _Parser:
                 self.advance()
                 f = Implies(f, self.formula())
         except ParseError as exc:
-            self.formulas[start] = exc
+            self.failures[start] = (exc.message, exc.position, exc.expected)
             raise
         self.formulas[start] = (f, self.pos)
         return f
@@ -544,10 +547,6 @@ def _parse_all(text: str, start):
         tree = start(parser)
     except RecursionError:
         raise ParseError("input nested too deeply", parser.peek().pos) from None
-    finally:
-        # A stored ParseError's traceback holds the parser's frames, so the
-        # memo would keep the parser alive in a reference cycle.
-        parser.formulas.clear()
     tok = parser.peek()
     if tok.kind != "eof":
         raise ParseError(f"trailing input {tok.value!r}", tok.pos, ("end of input",))

@@ -3,6 +3,7 @@ import pickle
 import random
 import subprocess
 import sys
+import weakref
 from dataclasses import fields
 
 import pytest
@@ -117,6 +118,34 @@ class TestParsing:
         f = parse_formula(text)
         assert isinstance(f, Diamond) and isinstance(f.program, Seq)
         assert calls <= 5 * len(syntax._tokenize(text))
+
+    def test_abandoned_test_readings_release_their_errors(self, monkeypatch):
+        # A failed test reading is remembered, but not by its ParseError:
+        # a kept error would hold its traceback's frames alive until the
+        # parse ends.  So once prog_primary returns, every error raised
+        # inside it has been dropped.
+        program = "a"
+        for _ in range(6):
+            program = f"(<{program}>p?;a)"
+        errors = []
+        init = ParseError.__init__
+
+        def recording(self, *args):
+            init(self, *args)
+            errors.append(weakref.ref(self))
+
+        prog_primary = syntax._Parser.prog_primary
+        alive_after_return = []
+
+        def checking(parser):
+            prog = prog_primary(parser)
+            alive_after_return.extend(e for e in errors if e() is not None)
+            return prog
+
+        monkeypatch.setattr(ParseError, "__init__", recording)
+        monkeypatch.setattr(syntax._Parser, "prog_primary", checking)
+        assert isinstance(parse_formula(f"<{program}>p"), Diamond)
+        assert errors and not alive_after_return
 
 
 class TestRendering:
