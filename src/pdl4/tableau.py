@@ -31,10 +31,23 @@ existential rules last, each tier through a FIFO agenda.  This keeps
 branch counts low and lets the loop-check see a nominal's full statement
 set before deciding whether to expand it.
 
-Branches are independent after a split and could be explored
-concurrently; this implementation explores them depth first in a single
-worker, which makes results (including the extracted countermodel)
-deterministic.
+Branches are explored depth first, left column first, with
+dependency-directed backjumping (Horrocks and Patel-Schneider, J. Logic
+Comput. 9(3), 1999).  A split gets a level, one more than the number of
+splits on its branch's path, and every statement carries the bitmask of
+the split levels its derivation rests on: a conclusion has the union of
+its premises' masks, and both columns of a split add the new level.  A
+nominal takes the mask of the statement that first mentions it, and every
+later statement mentioning it takes that mask too, since a statement
+about a fresh nominal is only sound where its existential is.  A closed
+branch has the mask of its clash; an ignorable branch rests on every split
+on its path, since fulfilment is judged on the whole branch.  When the
+left subtree of a split closes without resting on the split's level, its
+clashes follow from statements the right column shares, so the right
+sibling is pruned unexplored; otherwise the split's mask is the union of
+both subtrees' masks without its own level.  Only subtrees that would
+close are pruned, so the first open branch, and with it the extracted
+countermodel, is the one plain depth-first search meets.
 """
 from __future__ import annotations
 
@@ -104,6 +117,7 @@ class ProofStats:
     ignorable_branches: int = 0
     blocked_existentials: int = 0
     fresh_nominals: int = 0
+    pruned_branches: int = 0
     elapsed: float = 0.0
 
 
@@ -112,6 +126,7 @@ class BranchFormula:
     statement: SignedFormula
     origin_index: int
     destructive_applied: bool = False
+    deps: int = 0  # split levels the derivation rests on, bit level - 1
 
 
 @dataclass(frozen=True)
@@ -336,6 +351,7 @@ class Branch:
         self.nominal_order: list[str] = []
         self.position: dict[str, int] = {}  # nominal -> index in nominal_order
         self.generation: dict[str, str] = {}
+        self.nominal_deps: dict[str, int] = {}  # mask of the first statement naming it
         # Per-nominal decorated closure statements; the loop-check compares
         # these sets, so they are maintained incrementally (growing only).
         self.cl_statements: dict[str, set[tuple[bool, bool, Formula]]] = {}
@@ -356,6 +372,8 @@ class Branch:
         self.parked: list[SignedFormula] = []
         self.closed = False
         self.closed_reason: Optional[str] = None
+        self.closed_deps = 0
+        self.depth = 0  # splits on this branch's path
         self.fresh_counter = fresh_start
 
     # -- basic views
@@ -375,13 +393,14 @@ class Branch:
         clone.signature = self.signature
         clone.branch_id = branch_id
         clone.formulas = [
-            BranchFormula(bf.statement, bf.origin_index, bf.destructive_applied)
+            BranchFormula(bf.statement, bf.origin_index, bf.destructive_applied, bf.deps)
             for bf in self.formulas
         ]
         clone.index = {bf.statement: bf for bf in clone.formulas}
         clone.nominal_order = list(self.nominal_order)
         clone.position = dict(self.position)
         clone.generation = dict(self.generation)
+        clone.nominal_deps = dict(self.nominal_deps)
         clone.cl_statements = {n: set(s) for n, s in self.cl_statements.items()}
         clone.raw_plain = list(self.raw_plain)
         for name in ("universals", "edges", "equalities", "literals_at"):
@@ -390,6 +409,8 @@ class Branch:
         clone.parked = list(self.parked)
         clone.closed = self.closed
         clone.closed_reason = self.closed_reason
+        clone.closed_deps = self.closed_deps
+        clone.depth = self.depth
         clone.fresh_counter = self.fresh_counter
         return clone
 
@@ -402,10 +423,9 @@ class Branch:
             if name not in self.generation:
                 return name
 
-    def _register_nominal(self, name: str, parent: str) -> None:
-        if name in self.generation:
-            return
+    def _register_nominal(self, name: str, parent: str, deps: int) -> None:
         self.generation[name] = parent
+        self.nominal_deps[name] = deps
         self.position[name] = len(self.nominal_order)
         self.nominal_order.append(name)
         # the self-equality axiom, and root-formula prefixing at this nominal
@@ -427,19 +447,25 @@ class Branch:
         self,
         stmt: SignedFormula,
         fresh_parents: Optional[dict[str, str]] = None,
+        deps: int = 0,
     ) -> bool:
-        """Insert a statement unless it is already present."""
+        """Insert a statement unless it is already present; deps is the
+        mask of the split levels its derivation rests on."""
         if stmt in self.index:
             return False
-        bf = BranchFormula(stmt, len(self.formulas))
+        nominal_deps = self.nominal_deps
+        for name in stmt.nominals:
+            deps |= nominal_deps.get(name, 0)
+        bf = BranchFormula(stmt, len(self.formulas), False, deps)
         self.formulas.append(bf)
         self.index[stmt] = bf
         self._assert_closure_property(stmt)
         parents = fresh_parents or {}
         for name in stmt.nominals:
-            self._register_nominal(name, parents.get(name, ROOT_ORIGIN))
+            if name not in nominal_deps:
+                self._register_nominal(name, parents.get(name, ROOT_ORIGIN), deps)
         self._update_cl_statements(stmt)
-        self._check_closed(stmt)
+        self._check_closed(bf)
         hit = _dispatch(stmt)
         if hit is not None:
             self.queues[hit[0].tier].append(stmt)
@@ -468,32 +494,34 @@ class Branch:
         if isinstance(f.body, Neg) and f.body.body in self.closure:
             entries.add((True, stmt.minus, f.body.body))
 
-    def _check_closed(self, stmt: SignedFormula) -> None:
+    def _check_closed(self, bf: BranchFormula) -> None:
+        """Close the branch on a clash with bf, recording the clash's mask."""
         if self.closed:
             return
+        stmt = bf.statement
         f = stmt.formula
         if not isinstance(f, At):
             return
-        if SignedFormula(f, not stmt.minus) in self.index:
-            self.closed = True
-            self.closed_reason = f"clash on {stmt}"
-            return
-        body = f.body
-        if not stmt.minus:
-            if isinstance(body, Bottom):
-                self.closed = True
-                self.closed_reason = f"{stmt} asserts falsum"
-            elif (
-                isinstance(body, Neg)
-                and isinstance(body.body, Nominal)
-                and body.body.name == f.nominal
-            ):
-                self.closed = True
-                self.closed_reason = f"{stmt} denies self-equality"
+        body, deps = f.body, bf.deps
+        other = self.index.get(SignedFormula(f, not stmt.minus))
+        if other is not None:
+            reason = f"clash on {stmt}"
+            deps |= other.deps
+        elif stmt.minus:
+            if not (isinstance(body, Neg) and isinstance(body.body, Bottom)):
+                return
+            reason = f"{stmt} denies verum"
+        elif isinstance(body, Bottom):
+            reason = f"{stmt} asserts falsum"
+        elif (
+            isinstance(body, Neg)
+            and isinstance(body.body, Nominal)
+            and body.body.name == f.nominal
+        ):
+            reason = f"{stmt} denies self-equality"
         else:
-            if isinstance(body, Neg) and isinstance(body.body, Bottom):
-                self.closed = True
-                self.closed_reason = f"{stmt} denies verum"
+            return
+        self.closed, self.closed_reason, self.closed_deps = True, reason, deps
 
     # -- pair-rule bookkeeping
 
@@ -625,8 +653,11 @@ class Branch:
         """Apply one admissible rule instance; returns the right sibling
         when the rule splits the branch."""
         if isinstance(task, _PairTask):
+            deps = 0
+            for premise in task.premises:
+                deps |= self.index[premise].deps
             for conclusion in task.conclusions:
-                self.add(conclusion)
+                self.add(conclusion, None, deps)
             if transcript is not None:
                 transcript.append(
                     f"[b{self.branch_id}] {task.rule}: "
@@ -643,9 +674,10 @@ class Branch:
         rule, branches, fresh_parents = _conclude(stmt, self.fresh_nominal)
         if stats is not None and fresh_parents:
             stats.fresh_nominals += len(fresh_parents)
+        deps = bf.deps
         if len(branches) == 1:
             for conclusion in branches[0]:
-                self.add(conclusion, fresh_parents)
+                self.add(conclusion, fresh_parents, deps)
             if transcript is not None:
                 transcript.append(
                     f"[b{self.branch_id}] {rule}: {stmt} ==> "
@@ -665,7 +697,7 @@ class Branch:
             return None
         if left == right:
             for conclusion in left:
-                self.add(conclusion)
+                self.add(conclusion, None, deps)
             if transcript is not None:
                 transcript.append(
                     f"[b{self.branch_id}] {rule}: {stmt} ==> "
@@ -673,11 +705,13 @@ class Branch:
                     + " (identical sides)"
                 )
             return None
+        deps |= 1 << self.depth  # the new level's bit
+        self.depth += 1
         sibling = self.copy(next_branch_id)
         for conclusion in left:
-            self.add(conclusion)
+            self.add(conclusion, None, deps)
         for conclusion in right:
-            sibling.add(conclusion)
+            sibling.add(conclusion, None, deps)
         if transcript is not None:
             transcript.append(
                 f"[b{self.branch_id}] {rule}: {stmt} ==> "
@@ -729,6 +763,10 @@ def initialize(roots: Iterable[Union[SignedFormula, Formula]]) -> Branch:
     branch = Branch(closure, signature, fresh_start)
     for sf in normalized:
         branch.add(sf)
+    if normalized and not signature.nominals and not any(sf.minus for sf in normalized):
+        # Nothing would introduce a nominal, so at-intro would prefix the
+        # roots nowhere: name one world for them.
+        branch._register_nominal(branch.fresh_nominal(), ROOT_ORIGIN, 0)
     return branch
 
 
@@ -946,7 +984,8 @@ def prove_from_roots(
     Proved means every branch ended closed or ignorable; refuted returns
     the model extracted from the first open branch (checked against every
     root unless verify is disabled); exhausted is only reachable by
-    hitting the defensive limits."""
+    hitting the defensive limits.  A right sibling whose split the closures
+    left of it do not rest on is pruned (see the module docstring)."""
     limits = limits or TableauLimits()
     lines: Optional[list[str]] = [] if transcript else None
     stats = ProofStats()
@@ -955,9 +994,28 @@ def prove_from_roots(
         r if isinstance(r, SignedFormula) else SignedFormula(r) for r in roots
     ]
     stack = [initialize(normalized)]
+    # (level, mask of the left subtree) of each split whose right sibling
+    # is being explored, innermost last; deps is the mask of the subtree
+    # finished last.
+    merges: list[tuple[int, int]] = []
+    deps = 0
     next_branch_id = 1
     while stack:
         branch = stack.pop()
+        level = branch.depth  # only right siblings are popped below the root
+        if level:
+            while merges and merges[-1][0] >= level:
+                done, left = merges.pop()
+                deps = (left | deps) & ~(1 << (done - 1))
+            if not deps >> (level - 1) & 1:
+                stats.pruned_branches += 1
+                if lines is not None:
+                    lines.append(
+                        f"[b{branch.branch_id}] pruned: its sibling's closures"
+                        f" do not rest on split level {level}"
+                    )
+                continue
+            merges.append((level, deps))
         while True:
             if stats.steps >= limits.max_steps or (
                 limits.time_limit is not None
@@ -967,6 +1025,7 @@ def prove_from_roots(
                 return TableauResult("exhausted", stats=stats, transcript=lines)
             if branch.closed:
                 stats.closed_branches += 1
+                deps = branch.closed_deps
                 if lines is not None:
                     lines.append(f"[b{branch.branch_id}] closed: {branch.closed_reason}")
                 break
@@ -975,6 +1034,7 @@ def prove_from_roots(
                 status = classify(branch)
                 if status.kind == "ignorable":
                     stats.ignorable_branches += 1
+                    deps = (1 << branch.depth) - 1  # every split on its path
                     if lines is not None:
                         lines.append(
                             f"[b{branch.branch_id}] ignorable {status.ignorable_kind}"

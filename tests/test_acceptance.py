@@ -234,6 +234,16 @@ def _consequence_corpus(count=200):
     return problems
 
 
+def test_default_limits_decide_the_gate():
+    # The gate's own tests prove under GENEROUS_LIMITS; the CLI's default
+    # limits must decide every one of its problems too.
+    for index, (hypotheses, goal) in enumerate(_consequence_corpus()):
+        result = prove_consequence(hypotheses, goal, TableauLimits())
+        assert not result.exhausted, index
+        if index == 6:  # without backjumping it runs past 100,000 steps
+            assert result.proved and result.stats.steps <= 1_000
+
+
 def test_criterion_6_prover_agrees_with_oracle():
     started = time.monotonic()
     confirmed_divergences = []

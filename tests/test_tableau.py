@@ -485,6 +485,72 @@ class TestProver:
         assert not globally_satisfies(model, roots[1].formula)
         assert not globally_satisfies(model, roots[2].formula)
 
+    def test_nominal_free_roots_are_prefixed_at_one_world(self):
+        for text, worlds in (("p", 1), ("<a>p", 2)):
+            root = SignedFormula(parse_formula(text))
+            result = prove_from_roots([root])
+            assert result.refuted, text
+            assert globally_satisfies(result.countermodel, root.formula), text
+            assert len(result.countermodel.worlds) == worlds, text
+        assert prove_from_roots([SignedFormula(Bottom())]).proved
+
+
+class TestBackjumping:
+    def test_clash_below_an_irrelevant_split_prunes_its_sibling(self):
+        # (q | r) splits first; the clash on p or s rests only on the
+        # second split, so the r column is never explored.
+        roots = [
+            SignedFormula(At("i", Or(q, PropVar("r")))),
+            SignedFormula(At("i", Or(p, PropVar("s")))),
+            SignedFormula(At("i", p), minus=True),
+            SignedFormula(At("i", PropVar("s")), minus=True),
+        ]
+        result = prove_from_roots(roots, transcript=True)
+        assert result.proved
+        assert result.stats.pruned_branches == 1
+        assert result.stats.closed_branches == 2
+        assert sum("pruned" in line for line in result.transcript) == 1
+
+    def test_clash_resting_on_the_split_explores_its_sibling(self):
+        roots = [
+            SignedFormula(At("i", Or(p, q))),
+            SignedFormula(At("i", p), minus=True),
+            SignedFormula(At("i", q), minus=True),
+        ]
+        result = prove_from_roots(roots)
+        assert result.proved
+        assert result.stats.pruned_branches == 0
+        assert result.stats.closed_branches == 2
+
+    def test_statements_at_a_fresh_nominal_carry_its_existentials_mask(self):
+        # <a>q is expanded in the right column of the split at level 1
+        # (mask 1), so every statement naming its fresh nominal rests on
+        # that split, the premise-free self-equality axiom included.
+        [right] = [
+            branch
+            for branch in saturate([SignedFormula(At("i", Or(p, Diamond(a, q))))])
+            if "t0" in branch.generation
+        ]
+        assert right.nominal_deps["t0"] == 1
+        assert right.index[SignedFormula(At("t0", Nominal("t0")))].deps == 1
+        assert right.index[SignedFormula(At("t0", q))].deps == 1
+
+    def test_pruned_proofs_have_no_two_world_countermodel(self):
+        rng = random.Random(4_170)
+        sig = Signature(frozenset({"p"}), frozenset({"i"}), frozenset({"a"}))
+        proved = pruned = 0
+        for _ in range(300):
+            delta = [random_formula(rng, sig, rng.randint(1, 3)) for _ in range(rng.randint(0, 2))]
+            goal = random_formula(rng, sig, rng.randint(1, 4))
+            result = prove_consequence(delta, goal, TableauLimits(max_steps=20_000))
+            if result.proved:  # a refutation's countermodel is verified already
+                proved += 1
+                pruned += result.stats.pruned_branches > 0
+                spec = EnumerationSpec.for_formulas(delta + [goal], 2)
+                assert countermodel_search(delta, goal, spec) is None, (
+                    list(map(render, delta)), render(goal))
+        assert proved > 50 and pruned >= 5
+
 
 # Rule-local soundness: for a premise that holds globally, some conclusion
 # column must hold globally too.  Existential rules are exercised through
@@ -759,7 +825,8 @@ def test_rule_table_gives_the_listed_columns():
 # default limits.  The counts and models were recorded before formula nodes
 # cached their hashes, the digests before one rule table replaced the
 # per-decoration rule functions; any change to rule names, rule order or the
-# loop-check moves them.
+# loop-check moves them.  Rows 2, 53, 82, 105, 110, 155, 157, 166 and 174
+# were re-recorded, with fewer steps, when backjumping began to prune.
 _GOLDEN = {
     0: ("refuted", 8, 3, 1,
         "5ea6d6b93be7be38acf010d1b7148bec5d0c47b4dd81fbd03b37c4d3a93b05b0", (
@@ -778,8 +845,8 @@ _GOLDEN = {
         "action a pos:\n"
         "action a neg: (i,i)\n"
     )),
-    2: ("refuted", 97, 13, 5,
-        "37216db1817a0363cc058159f49f0a578c043d9e506082b68a911f326a534f66", (
+    2: ("refuted", 80, 12, 5,
+        "81b6694c88ff22d8878877cd86cc5906ee0ac8b4b8410973fe866d8c5f005af5", (
         "worlds: i t0 t1 t2\n"
         "name 'i = i\n"
         "name 't0 = t0\n"
@@ -795,8 +862,8 @@ _GOLDEN = {
     )),
     15: ("proved", 51, 2, 6,
         "720fbacb12952760b303097744bcb69b8b0966a49a615dfa77bac0801d71a26f", None),
-    53: ("refuted", 56, 16, 2,
-        "2b8d9477b2c965c80fa44aa40d0274130298d4a288382c79571b8703b8d430fb", (
+    53: ("refuted", 53, 15, 2,
+        "1e9514505d284c001aa7ba613d1eb31166431e9bee3482638c1cd9cc90a9445e", (
         "worlds: i t0 t1\n"
         "name 'i = i\n"
         "name 't0 = t0\n"
@@ -835,10 +902,10 @@ _GOLDEN = {
         "action a neg: (i,i) (i,t0) (i,t3) (t0,i) (t0,t0) (t0,t3) (t3,i) (t3,t0) "
         "(t3,t3)\n"
     )),
-    82: ("proved", 27, 3, 2,
-        "6948bffe7ec732a0c1289a4d917857b8238160190b43dab2080cd5a2caff63b5", None),
-    105: ("proved", 408, 108, 7,
-        "7f80f0281d13a7409bc29cc05d67348c9dd4eb138dedc429f84e8266d8d84369", None),
+    82: ("proved", 15, 2, 1,
+        "19b05c3645f38991f7f7074c1ba67bf080efde11886789223630d7f5b1cc2957", None),
+    105: ("proved", 325, 76, 7,
+        "1e82d63e4ada212efbad993f892679b3e68c1a859ede4ea97493f842449b4e72", None),
     109: ("refuted", 63, 9, 4,
         "57d13a85b4f762437e66bc2c2fcb7cdf32c194f5e3574d10531b36a2eb037727", (
         "worlds: i t0\n"
@@ -850,8 +917,8 @@ _GOLDEN = {
         "action a pos: (i,i) (t0,i)\n"
         "action a neg: (i,i) (i,t0) (t0,i) (t0,t0)\n"
     )),
-    110: ("proved", 368, 52, 96,
-        "ec54492668cf70b14a1e37246780b4bcbb1e6bef436078e9705f94565970c6a9", None),
+    110: ("proved", 273, 49, 70,
+        "4b310a88e290a428c5ea7f372d83695ffd414ce2660e8ee6916d3e946c3b3945", None),
     114: ("refuted", 31, 5, 3,
         "502899fcfb41e13baf14416a36394046f43a0e66eab5214bdac89ae3d4a2b484", (
         "worlds: i t0 t1\n"
@@ -908,8 +975,8 @@ _GOLDEN = {
         "prop p pos: t4\n"
         "prop p neg:\n"
     )),
-    155: ("refuted", 31, 3, 4,
-        "33772c9ac5222a19e4c627449a9a6e12d0e56f6245d525fd2c67f73370493c39", (
+    155: ("refuted", 24, 3, 3,
+        "1d0696fdbddc52365c00ccd2e3f61cb1b8a193289b83ffec41f83761bec86b74", (
         "worlds: t0\n"
         "name 't0 = t0\n"
         "action a pos:\n"
@@ -917,8 +984,8 @@ _GOLDEN = {
         "prop p pos: t0\n"
         "prop p neg:\n"
     )),
-    157: ("proved", 350, 40, 14,
-        "805eab7cee25c1921ccf3a52aa9ea42585ad118770ce2f20dcca60c74b7b1ed0", None),
+    157: ("proved", 85, 16, 4,
+        "4ab2fa3ff48a7817b6bbc048b4654019586ebadabd78ddac295447e4b5420b8b", None),
     158: ("refuted", 114, 1, 11,
         "e47bdb4787678143a46e6365d1456a79143711fd37f459e39688ebf8c740496d", (
         "worlds: i t0 t1 t2 t4 t6 t7\n"
@@ -945,10 +1012,10 @@ _GOLDEN = {
         "prop p pos: t4 t6 t7\n"
         "prop p neg:\n"
     )),
-    166: ("proved", 85, 27, 4,
-        "c3fed176bc9e5c617a1e2d9bc10fbcb7b6439fe552d8e288e45cd9df854dc88d", None),
-    174: ("proved", 178, 8, 13,
-        "e3372fbae04cdabc4d88f7a841e134b75f0e04cd7f7c6b6203c01579f6c6cb7d", None),
+    166: ("proved", 35, 9, 2,
+        "43bb86b22a83ba7a170abb66c838b0f5efa9b76d2421521f3c619004f56d83ad", None),
+    174: ("proved", 73, 5, 5,
+        "d0e366f2916426e1d0f98af11562f2d24b7181c8d9e0af73162706c5433da9c0", None),
     193: ("proved", 35, 6, 2,
         "af5451223e9d226e8cfb66a67de1567a95f42f3070db5b9524ef025205e03dbf", None),
 }
