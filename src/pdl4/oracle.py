@@ -21,6 +21,17 @@ world counts being scanned in ascending order, world-minimal.  Every
 witness is decoded to a Model and re-checked with the reference model
 checker before it is returned.  Sharded scans would have to merge on the
 lowest witness index to keep that guarantee.
+
+Above one world the scan enumerates only the components the roots read,
+a cone-of-influence reduction.  Each relation and valuation has a positive
+and a negative component, and polarity flips only at Neg, so a root often
+reads one of the two, or neither.  The one-world pass labels every root on
+every chunk and records each (name, negated) component read; larger world
+counts lay out only those, in the same order, so a pruned index is an
+order-preserving embedding of the full index with the unread bits at 0.
+No root's verdict depends on an unread component, so the enumeration-first
+witness has each at 0 and the pruned scan meets it first.  The ceiling
+still counts the raw space.
 """
 from __future__ import annotations
 
@@ -29,7 +40,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
 from math import prod
-from typing import Iterator, Optional, Sequence, Union
+from typing import AbstractSet, Iterator, Optional, Sequence, Union
 
 from .semantics import Model, ModelError, globally_satisfies
 from .syntax import (
@@ -61,9 +72,9 @@ DEFAULT_CEILING = 1 << 27
 VECTOR_THRESHOLD = 1 << 14
 
 # log2 of the models per chunk of the bitsliced scan, each label an int of
-# 2^17 bits (16 KiB).  One pass of the benchmark's 173 searches took
-# 0.15-0.21 s at 16 to 18 bits, 0.39 s at 14, and as long at 20 bits with
-# more memory (2-core VM, Python 3.11).
+# 2^17 bits (16 KiB).  One pass of the benchmark's 173 searches took 0.047-
+# 0.054 s at 17 bits, as long at 16, 18 and 20 bits with larger ints, 0.06 s
+# at 14 and 0.10 s at 12 (2-core VM, Python 3.11).
 _CHUNK_BITS = 17
 
 
@@ -110,13 +121,10 @@ class EnumerationSpec:
 
 
 def _radices(sig: Signature, n: int) -> list[int]:
-    radii: list[int] = []
-    radii.extend(n for _ in sorted(sig.nominals))
-    for _ in sorted(sig.actions):
-        radii.extend((1 << (n * n), 1 << (n * n)))
-    for _ in sorted(sig.propositions):
-        radii.extend((1 << n, 1 << n))
-    return radii
+    """The radix of each component of a model index at n worlds, most
+    significant first: nominations, then relations and valuations."""
+    relations = [1 << (n * n)] * (2 * len(sig.actions))
+    return [n] * len(sig.nominals) + relations + [1 << n] * (2 * len(sig.propositions))
 
 
 def search_space_size(spec: EnumerationSpec) -> int:
@@ -211,18 +219,23 @@ def _bit_patterns(c: int) -> tuple[int, ...]:
     return tuple(patterns)
 
 
-def _layout(sig: Signature, n: int) -> tuple[dict[str, int], int]:
-    """Where the relation and valuation components sit in the binary part
-    of a model index at n worlds, the last component lowest: the offset of
-    each action's and proposition's positive component (its negative one
-    sits just below it), and the part's width."""
+def _layout(
+    sig: Signature, n: int, components: AbstractSet[tuple[str, bool]]
+) -> tuple[dict[tuple[str, bool], int], int]:
+    """Where the given (name, negated) relation and valuation components
+    sit in the binary part of a model index at n worlds, in the full
+    layout's order (actions, then propositions, each sorted, a positive
+    component above its negative one, the last lowest): the offset of each
+    one's lowest bit, and the part's width."""
     parts = [(a, n * n) for a in sorted(sig.actions)]
     parts += [(p, n) for p in sorted(sig.propositions)]
-    offsets: dict[str, int] = {}
+    offsets: dict[tuple[str, bool], int] = {}
     width = 0
     for name, size in reversed(parts):
-        offsets[name] = width + size
-        width += 2 * size
+        for key in ((name, True), (name, False)):
+            if key in components:
+                offsets[key] = width
+                width += size
     return offsets, width
 
 
@@ -233,10 +246,15 @@ class _Chunk:
     holds at each world, and a (subprogram, polarity) as an n×n matrix, the
     models in which each pair is in its positive relation or in the
     complement of its negative one.  The clauses are _Labeller's with & and
-    | taken across models, each label computed once per chunk."""
+    | taken across models, each label computed once per chunk.  Each
+    (name, negated) component read is added to reads."""
 
-    def __init__(self, offsets: dict[str, int], n: int, named: dict[str, int], c: int, chunk: int):
+    def __init__(
+        self, offsets: dict[tuple[str, bool], int], n: int, named: dict[str, int],
+        c: int, chunk: int, reads: set[tuple[str, bool]],
+    ):
         self.offsets = offsets
+        self.reads = reads
         self.n = n
         self.named = named
         self.c = c
@@ -250,7 +268,8 @@ class _Chunk:
 
     def _bits(self, name: str, negated: bool, count: int) -> list[int]:
         """The models having each of the count bits of a component set."""
-        base = self.offsets[name] - (count if negated else 0)
+        self.reads.add((name, negated))
+        base = self.offsets[name, negated]
         return [
             self.low[pos] if pos < self.c
             else self.full if self.chunk >> (pos - self.c) & 1 else 0
@@ -363,21 +382,26 @@ def _some(row: Sequence[int], column: Sequence[int]) -> int:
     return out
 
 
-def _chunks(roots: Sequence[SignedFormula], sig: Signature, n: int) -> Iterator[tuple[int, int]]:
-    """For each chunk of the models at n worlds, in index order: the index
-    of its first model, and the models in it satisfying every root (empty
-    once a root leaves none)."""
-    offsets, width = _layout(sig, n)
+def _chunks(
+    roots: Sequence[SignedFormula], sig: Signature, n: int,
+    components: AbstractSet[tuple[str, bool]], reads: set[tuple[str, bool]],
+) -> Iterator[tuple[int, int]]:
+    """For each chunk of the models at n worlds over the given components,
+    in index order: the index of its first model, and the models in it
+    satisfying every root.  The components read are added to reads.  At
+    one world every root is labelled; above it a chunk stops at the first
+    root that leaves no model."""
+    offsets, width = _layout(sig, n, components)
     c = min(width, _CHUNK_BITS)
     nominals = sorted(sig.nominals)
     for naming, worlds in enumerate(product(range(n), repeat=len(nominals))):
         named = dict(zip(nominals, worlds))
         for chunk in range(1 << (width - c)):
-            block = _Chunk(offsets, n, named, c, chunk)
+            block = _Chunk(offsets, n, named, c, chunk, reads)
             good = block.full
             for sf in roots:
                 good &= block.holds_globally(sf)
-                if not good:
+                if not good and n > 1:
                     break
             yield (naming << width) + (chunk << c), good
 
@@ -404,24 +428,34 @@ def find_model(
         raise CeilingExceeded(
             f"exhaustive space {search_space_size(spec)} exceeds ceiling {spec.ceiling}"
         )
+    read = full = frozenset(product(sig.actions | sig.propositions, (False, True)))
     for n in range(1, spec.max_worlds + 1):
+        reads: set[tuple[str, bool]] = set()
         try:
             index = next(
                 (base + (good & -good).bit_length() - 1
-                 for base, good in _chunks(normalized, sig, n) if good),
+                 for base, good in _chunks(normalized, sig, n, read, reads) if good),
                 None,
             )
         except KeyError as exc:  # the chunk's only lookups by name
-            raise ModelError(f"{exc.args[0]!r} is not in the signature") from None
+            key = exc.args[0]
+            name = key[0] if isinstance(key, tuple) else key
+            raise ModelError(f"{name!r} is not in the signature") from None
         if index is None:
+            if n == 1:
+                read = frozenset(reads)
             continue
+        if read != full:  # move each read component to its full position
+            offsets, width = _layout(sig, n, read)
+            full_offsets, full_width = _layout(sig, n, full)
+            naming, binary = divmod(index, 1 << width)
+            index = naming << full_width
+            for key, at in offsets.items():
+                size = n * n if key[0] in sig.actions else n
+                index |= (binary >> at & ((1 << size) - 1)) << full_offsets[key]
         # positional decode, most significant component first
         radii = _radices(sig, n)
-        combo = []
-        rest = index
-        for k in range(len(radii)):
-            digit, rest = divmod(rest, prod(radii[k + 1:]))
-            combo.append(digit)
+        combo = [index // prod(radii[k + 1:]) % radii[k] for k in range(len(radii))]
         model = _decode(sig, n, combo)
         for sf in normalized:
             if not globally_satisfies(model, sf):

@@ -252,13 +252,9 @@ class Signature:
 
     @classmethod
     def of(cls, items: Iterable[Union[Formula, Program, SignedFormula]]) -> "Signature":
-        props: set[str] = set()
-        noms: set[str] = set()
-        acts: set[str] = set()
-        for item in items:
-            props |= propositions_of(item)
-            noms |= nominals_of(item)
-            acts |= actions_of(item)
+        items = list(items)
+        props, acts = _atoms(items)
+        noms = {name for item in items for name in item.nominals}
         return cls(frozenset(props), frozenset(noms), frozenset(acts))
 
 
@@ -297,22 +293,33 @@ def nominals_of(x: Syntax) -> frozenset[str]:
 
 def actions_of(x: Syntax) -> frozenset[str]:
     """All atomic action names occurring in x."""
-    if isinstance(x, Atomic):
-        return frozenset((x.name,))
-    out: frozenset[str] = frozenset()
-    for child in _children(x):
-        out |= actions_of(child)
-    return out
+    return frozenset(_atoms([x])[1])
 
 
 def propositions_of(x: Syntax) -> frozenset[str]:
     """All propositional variable names occurring in x."""
-    if isinstance(x, PropVar):
-        return frozenset((x.name,))
-    out: frozenset[str] = frozenset()
-    for child in _children(x):
-        out |= propositions_of(child)
-    return out
+    return frozenset(_atoms([x])[0])
+
+
+def _atoms(items: Iterable[Syntax]) -> tuple[set[str], set[str]]:
+    """The proposition and action names occurring in items, found in one
+    walk that visits each distinct subterm once."""
+    props: set[str] = set()
+    acts: set[str] = set()
+    stack = list(items)
+    seen: set[Syntax] = set()
+    while stack:
+        x = stack.pop()
+        if x in seen:
+            continue
+        seen.add(x)
+        if isinstance(x, PropVar):
+            props.add(x.name)
+        elif isinstance(x, Atomic):
+            acts.add(x.name)
+        else:
+            stack.extend(_children(x))
+    return props, acts
 
 
 # ---------------------------------------------------------------------------

@@ -770,49 +770,6 @@ def initialize(roots: Iterable[Union[SignedFormula, Formula]]) -> Branch:
     return branch
 
 
-def apply_rules_step(
-    branch: Branch, closure: Optional[frozenset[Formula]] = None
-) -> list[Branch]:
-    """Apply one admissible rule instance under the construction
-    restrictions; returns the successor branches (the input branch is
-    advanced in place, plus a sibling on splits).  Returns just the branch
-    when nothing is applicable.
-
-    The closure, when given, must be the one the branch was initialised
-    with; the loop-check bookkeeping is built against it incrementally."""
-    if closure is not None and not closure <= branch.closure:
-        raise ValueError("closure does not match the branch's working closure")
-    task = branch.next_task()
-    if task is None:
-        return [branch]
-    sibling = branch.apply(task, branch.branch_id + 1)
-    return [branch] if sibling is None else [branch, sibling]
-
-
-def inclusion(
-    i: str,
-    j: str,
-    branch: Branch,
-    closure: Optional[frozenset[Formula]] = None,
-) -> bool:
-    """Definitional nominal inclusion: every decorated closure statement
-    at i also holds at j, and j appeared first.  (The engine's loop-check
-    uses an incrementally maintained equivalent.)"""
-    if i not in branch.generation or j not in branch.generation:
-        return False
-    if i == j or branch.first_occurrence(j) >= branch.first_occurrence(i):
-        return False
-    cl = branch.closure if closure is None else closure
-    for psi in cl:
-        for neg in (False, True):
-            for minus in (False, True):
-                if branch.contains(_stmt(i, psi, neg, minus)) and not branch.contains(
-                    _stmt(j, psi, neg, minus)
-                ):
-                    return False
-    return True
-
-
 # ---------------------------------------------------------------------------
 # Branch classification
 

@@ -2,6 +2,7 @@ import os
 import random
 import subprocess
 import sys
+from dataclasses import fields
 from itertools import product
 
 import pytest
@@ -18,6 +19,9 @@ from pdl4.oracle import (
 )
 from pdl4.semantics import ModelError, globally_satisfies, serialize_model
 from pdl4.syntax import (
+    Formula,
+    Neg,
+    Program,
     PropVar,
     SignedFormula,
     Signature,
@@ -154,15 +158,25 @@ def _random_roots(rng, sig):
     return roots
 
 
+def _drop_negations(node):
+    """The formula or program with every Neg node replaced by its body."""
+    if isinstance(node, Neg):
+        return _drop_negations(node.body)
+    if not isinstance(node, (Formula, Program)):
+        return node
+    return type(node)(*(_drop_negations(getattr(node, f.name)) for f in fields(node)))
+
+
 class TestBitslicedScan:
     def test_chunks_match_checker_on_full_space(self, monkeypatch):
         # at the default size one chunk covers each nomination; at 3 bits
         # the bits above the chunk are constants taken from its number
         sig = Signature(frozenset({"p"}), frozenset({"i"}), frozenset({"a"}))
+        full = {(name, negated) for name in ("p", "a") for negated in (False, True)}
         rng = random.Random(9)
         for chunk_bits, n in product((oracle._CHUNK_BITS, 3), (1, 2)):
             monkeypatch.setattr(oracle, "_CHUNK_BITS", chunk_bits)
-            size = 1 << min(oracle._layout(sig, n)[1], chunk_bits)
+            size = 1 << min(oracle._layout(sig, n, full)[1], chunk_bits)
             models = [
                 m for m in enumerate_models(EnumerationSpec(sig, n)) if len(m.worlds) == n
             ]
@@ -172,7 +186,7 @@ class TestBitslicedScan:
                     minus=bool(rng.getrandbits(1)),
                 )
                 truth = []
-                for base, good in oracle._chunks([sf], sig, n):
+                for base, good in oracle._chunks([sf], sig, n, full, set()):
                     assert base == len(truth)
                     truth.extend(bool(good >> m & 1) for m in range(size))
                 assert truth == [globally_satisfies(m, sf) for m in models], str(sf)
@@ -212,11 +226,58 @@ class TestBitslicedScan:
             found += model is not None and len(model.worlds) > 1
         assert found
 
+    @pytest.mark.parametrize("chunk_bits", [2, 3])
+    @pytest.mark.parametrize(
+        "sig",
+        [
+            Signature(frozenset({"p", "q"}), frozenset({"i", "j"}), frozenset()),
+            Signature(frozenset({"p"}), frozenset({"i"}), frozenset({"b"})),
+        ],
+    )
+    def test_pruned_scan_keeps_the_first_witness(self, monkeypatch, chunk_bits, sig):
+        # the spec's signature has names no root reads, and negation-free
+        # roots read one polarity of p, so the scan above one world skips
+        # components that the first witness must still have at 0
+        monkeypatch.setattr(oracle, "_CHUNK_BITS", chunk_bits)
+        roots_sig = Signature(frozenset({"p"}), frozenset({"i"}), frozenset())
+        rng = random.Random(40 + chunk_bits)
+        found = 0
+        for _ in range(30):
+            roots = _random_roots(rng, roots_sig)
+            if rng.getrandbits(1):
+                roots = [
+                    SignedFormula(_drop_negations(r.formula), r.minus) for r in roots
+                ]
+            spec = EnumerationSpec(sig, 2)
+            model = find_model(roots, spec)
+            assert model == _first_plain_match(roots, spec), [str(r) for r in roots]
+            found += model is not None and len(model.worlds) > 1
+        assert found
+
+    def test_problem_150_reads_one_polarity(self):
+        # the corpus's 50.3M-model scan reads pos_val p and pos_rel a only,
+        # so three worlds lay out 3 + 9 bits under each nomination
+        goal = parse_formula("p | <a*;(a+a)>@'i 'i -> @'i (p & p -> p -> 'i)")
+        roots = [SignedFormula(goal, minus=True)]
+        sig = Signature.of(roots)
+        reads = set()
+        full = {(name, negated) for name in ("p", "a") for negated in (False, True)}
+        for _ in oracle._chunks(roots, sig, 1, full, reads):
+            pass
+        assert reads == {("p", False), ("a", False)}
+        assert oracle._layout(sig, 3, frozenset(reads))[1] == 12
+        assert search_space_size(EnumerationSpec(sig, 3)) == 50_339_856
+
     def test_names_outside_the_signature_are_refused(self):
         spec = EnumerationSpec(Signature(frozenset({"p"}), frozenset(), frozenset()), 2)
         for text in ("q", "<a>p", "@'i p"):
             with pytest.raises(ModelError):
                 find_model([SignedFormula(parse_formula(text))], spec)
+            # the one-world pass labels every root, even after one that no
+            # model satisfies
+            with pytest.raises(ModelError):
+                roots = [SignedFormula(parse_formula(f)) for f in ("false", text)]
+                find_model(roots, spec)
 
 
 def test_search_runs_without_numpy():

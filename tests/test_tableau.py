@@ -31,15 +31,14 @@ from pdl4.tableau import (
     BranchStatus,
     TableauLimits,
     _conclude,
-    apply_rules_step,
     classify,
     extract_model,
-    inclusion,
     initialize,
     prove_consequence,
     prove_from_roots,
     prove_validity,
 )
+from tableau_steps import apply_rules_step, inclusion
 
 p, q = PropVar("p"), PropVar("q")
 a, b = Atomic("a"), Atomic("b")
