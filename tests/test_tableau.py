@@ -551,6 +551,49 @@ class TestBackjumping:
         assert proved > 50 and pruned >= 5
 
 
+def _first_split(roots):
+    """The two branches of the first split of a tableau for the roots."""
+    branch = initialize(roots)
+    out = [branch]
+    while len(out) == 1:
+        out = apply_rules_step(branch)
+    return out
+
+
+def _run_out(branch):
+    """Saturate a branch that makes no further split."""
+    while (task := branch.next_task()) is not None:
+        assert branch.apply(task, 99) is None
+
+
+class TestStatementSharing:
+    def test_a_key_gives_one_statement_object_per_proof(self):
+        r = PropVar("r")
+        left, right = _first_split([At("i", Or(p, q)), At("i", Diamond(a, r))])
+        assert left.table is right.table
+        for branch in (left, right):
+            _run_out(branch)
+        # <a>r is expanded after the split, once on each side
+        [mine] = [s for s in left.statements() if s == SignedFormula(At("t0", r))]
+        [theirs] = [s for s in right.statements() if s == SignedFormula(At("t0", r))]
+        assert mine is theirs
+        assert left.table("i", p) is right.table("i", p)
+        assert left.table("i", Neg(p)) is right.table("i", p, True)
+        assert initialize([At("i", p)]).table is not initialize([At("i", p)]).table
+
+    def test_a_destructive_rule_marks_only_its_own_side(self):
+        r, s = PropVar("r"), PropVar("s")
+        pending = SignedFormula(At("i", Or(r, s)))
+        for fired_first in (0, 1):
+            sides = _first_split([At("i", Or(p, q)), pending.formula])
+            assert sides[0].index[pending] is sides[1].index[pending]  # shared
+            sides[fired_first].apply(pending, 99)
+            assert sides[fired_first].index[pending].destructive_applied
+            assert not sides[1 - fired_first].index[pending].destructive_applied
+            sides[1 - fired_first].apply(pending, 100)
+            assert sides[1 - fired_first].index[pending].destructive_applied
+
+
 # Rule-local soundness: for a premise that holds globally, some conclusion
 # column must hold globally too.  Existential rules are exercised through
 # the end-to-end countermodel checks instead, since their conclusions
