@@ -69,24 +69,14 @@ class CliError(Exception):
     """Input or usage problem; reported on stderr with exit status 2."""
 
 
-def _env_int(name: str) -> Optional[int]:
+def _env_number(name: str, convert: type, noun: str) -> Optional[float]:
     raw = os.environ.get(name)
     if raw is None or raw == "":
         return None
     try:
-        return int(raw)
+        return convert(raw)
     except ValueError:
-        raise CliError(f"environment variable {name} must be an integer, got {raw!r}")
-
-
-def _env_float(name: str) -> Optional[float]:
-    raw = os.environ.get(name)
-    if raw is None or raw == "":
-        return None
-    try:
-        return float(raw)
-    except ValueError:
-        raise CliError(f"environment variable {name} must be a number, got {raw!r}")
+        raise CliError(f"environment variable {name} must be {noun}, got {raw!r}")
 
 
 # Longest input echoed in full in a parse error.
@@ -160,10 +150,12 @@ def _gather_roots(args) -> tuple[list[SignedFormula], Formula]:
 
 
 def _limits(args) -> TableauLimits:
-    steps = args.steps if args.steps is not None else _env_int("PDL4_MAX_STEPS")
-    time_limit = (
-        args.time_limit if args.time_limit is not None else _env_float("PDL4_TIME_LIMIT")
-    )
+    steps = args.steps
+    if steps is None:
+        steps = _env_number("PDL4_MAX_STEPS", int, "an integer")
+    time_limit = args.time_limit
+    if time_limit is None:
+        time_limit = _env_number("PDL4_TIME_LIMIT", float, "a number")
     limits = TableauLimits()
     if steps is not None:
         limits.max_steps = steps
@@ -175,7 +167,7 @@ def _limits(args) -> TableauLimits:
 def _max_worlds(args) -> int:
     if args.max_worlds is not None:
         return args.max_worlds
-    from_env = _env_int("PDL4_MAX_WORLDS")
+    from_env = _env_number("PDL4_MAX_WORLDS", int, "an integer")
     return 3 if from_env is None else from_env
 
 
@@ -464,6 +456,10 @@ def run(argv: Sequence[str]) -> int:
         return args.func(args)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return USAGE_ERROR
+    except RecursionError:
+        # formulas deeper than the stack, in the checker, prover or oracle
+        print("error: input nested too deeply", file=sys.stderr)
         return USAGE_ERROR
     except (TableauError, OracleError) as exc:
         print(f"internal error: {exc}", file=sys.stderr)

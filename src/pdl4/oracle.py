@@ -7,39 +7,40 @@ the domain itself is never enumerated) and the component order is fixed
 sorted-name order, each component counting up).  Exhaustive mode refuses
 search spaces above the configured ceiling.
 
+Within a world count a model's index is its nomination, whose digits are
+the only ones of radix n, followed by a plain binary number of relation
+and valuation bits laid out by _layout alone; _decode reads the exhaustive
+stream, the seeded sampler's draws and the scan's witness from it.
+
 Exhaustive search is one bitsliced scan: bit m of a Python int stands for
 one model, and the satisfaction clauses are applied with & and | across
-all the models of a chunk at once.  Within a world count a model's index
-is its nomination, whose digits are the only ones of radix n, followed by
-a plain binary number of relation and valuation bits.  So the scan loops
-over nominations in index order and, under each, over chunks of 2^c
-consecutive binary parts in ascending order; in a chunk, a component bit
-below bit c is the fixed pattern "bit k of m" and one at or above bit c
-is constant.  The first witness is the lowest set bit of the roots' AND in
-the first chunk that has one, so it is the enumeration-first model, and,
-world counts being scanned in ascending order, world-minimal.  Every
-witness is decoded to a Model and re-checked with the reference model
-checker before it is returned.  Sharded scans would have to merge on the
-lowest witness index to keep that guarantee.
+all the models of a chunk at once.  The scan loops over nominations in
+index order and, under each, over chunks of 2^c consecutive binary parts
+in ascending order; in a chunk, a component bit below bit c is the fixed
+pattern "bit k of m" and one at or above bit c is constant.  The first
+witness is the lowest set bit of the roots' AND in the first chunk that
+has one, so it is the enumeration-first model, and, world counts being
+scanned in ascending order, world-minimal.  Every witness is decoded to a
+Model and re-checked with the reference model checker before it is
+returned.  Sharded scans would have to merge on the lowest witness index
+to keep that guarantee.
 
 Above one world the scan enumerates only the components the roots read,
 a cone-of-influence reduction.  Each relation and valuation has a positive
 and a negative component, and polarity flips only at Neg, so a root often
 reads one of the two, or neither.  The one-world pass labels every root on
 every chunk and records each (name, negated) component read; larger world
-counts lay out only those, in the same order, so a pruned index is an
-order-preserving embedding of the full index with the unread bits at 0.
-No root's verdict depends on an unread component, so the enumeration-first
-witness has each at 0 and the pruned scan meets it first.  The ceiling
-still counts the raw space.
+counts scan a pruned layout, the full one with the unread components
+removed, which decoding reads as empty.  No root's verdict depends on an
+unread component, so the enumeration-first witness has each empty and the
+pruned scan meets it first.  The ceiling still counts the raw space.
 """
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import product
-from math import prod
+from itertools import islice, product
 from typing import AbstractSet, Iterator, Optional, Sequence, Union
 
 from .semantics import Model, ModelError, globally_satisfies
@@ -120,83 +121,103 @@ class EnumerationSpec:
         return cls(Signature.of(formulas), max_worlds, sample_count, seed, ceiling)
 
 
-def _radices(sig: Signature, n: int) -> list[int]:
-    """The radix of each component of a model index at n worlds, most
-    significant first: nominations, then relations and valuations."""
-    relations = [1 << (n * n)] * (2 * len(sig.actions))
-    return [n] * len(sig.nominals) + relations + [1 << n] * (2 * len(sig.propositions))
-
-
 def search_space_size(spec: EnumerationSpec) -> int:
-    """Raw number of models the exhaustive stream would yield."""
+    """Raw number of models the exhaustive stream would yield: at n worlds,
+    a world per nominal and 2n^2 relation and 2n valuation bits per name."""
+    sig = spec.signature
+    nominals, actions, props = len(sig.nominals), len(sig.actions), len(sig.propositions)
     return sum(
-        prod(_radices(spec.signature, n)) for n in range(1, spec.max_worlds + 1)
+        n ** nominals << 2 * n * (n * actions + props)
+        for n in range(1, spec.max_worlds + 1)
     )
 
 
-def _decode(sig: Signature, n: int, combo: Sequence[int]) -> Model:
+def _layout(
+    sig: Signature, n: int, components: AbstractSet[tuple[str, bool]]
+) -> tuple[dict[tuple[str, bool], int], int]:
+    """Where the given (name, negated) relation and valuation components
+    sit in the binary part of a model index at n worlds, in the full
+    layout's order (actions, then propositions, each sorted, a positive
+    component above its negative one, the last lowest): the offset of each
+    one's lowest bit, lowest first, and the part's width.  A pruned layout
+    is the full one with the components outside the given set removed."""
+    parts = [(a, n * n) for a in sorted(sig.actions)]
+    parts += [(p, n) for p in sorted(sig.propositions)]
+    offsets: dict[tuple[str, bool], int] = {}
+    width = 0
+    for name, size in reversed(parts):
+        for key in ((name, True), (name, False)):
+            if key in components:
+                offsets[key] = width
+                width += size
+    return offsets, width
+
+
+def _components(sig: Signature) -> frozenset[tuple[str, bool]]:
+    """Every (name, negated) relation and valuation component."""
+    return frozenset(product(sig.actions | sig.propositions, (False, True)))
+
+
+def _nominations(sig: Signature, n: int) -> Iterator[tuple[int, ...]]:
+    """Every nomination at n worlds in index order, a world per sorted nominal."""
+    return product(range(n), repeat=len(sig.nominals))
+
+
+def _decode(
+    sig: Signature, n: int, nomination: Sequence[int], binary: int,
+    offsets: dict[tuple[str, bool], int],
+) -> Model:
+    """The model at n worlds with the given nomination whose components
+    are read from binary at the layout's offsets; a component the layout
+    leaves out is empty."""
     worlds = [f"w{k}" for k in range(n)]
-    it = iter(combo)
-    naming = {i: worlds[next(it)] for i in sorted(sig.nominals)}
+    naming = {i: worlds[w] for i, w in zip(sorted(sig.nominals), nomination)}
+    masks = {key: binary >> at for key, at in offsets.items()}
     pos_rel: dict[str, frozenset[tuple[str, str]]] = {}
     neg_rel: dict[str, frozenset[tuple[str, str]]] = {}
     for a in sorted(sig.actions):
-        masks = (next(it), next(it))
-        for mask, target in zip(masks, (pos_rel, neg_rel)):
+        for negated, target in ((False, pos_rel), (True, neg_rel)):
+            bits = masks.get((a, negated), 0)
             target[a] = frozenset(
                 (worlds[u], worlds[v])
                 for u in range(n)
                 for v in range(n)
-                if mask >> (u * n + v) & 1
+                if bits >> (u * n + v) & 1
             )
     pos_val: dict[str, frozenset[str]] = {}
     neg_val: dict[str, frozenset[str]] = {}
     for p in sorted(sig.propositions):
-        masks = (next(it), next(it))
-        for mask, target in zip(masks, (pos_val, neg_val)):
-            target[p] = frozenset(worlds[w] for w in range(n) if mask >> w & 1)
+        for negated, target in ((False, pos_val), (True, neg_val)):
+            bits = masks.get((p, negated), 0)
+            target[p] = frozenset(worlds[w] for w in range(n) if bits >> w & 1)
     return Model(frozenset(worlds), pos_rel, neg_rel, naming, pos_val, neg_val)
-
-
-def _exhaustive_combos(radii: Sequence[int]) -> Iterator[tuple[int, ...]]:
-    combo = [0] * len(radii)
-    while True:
-        yield tuple(combo)
-        for k in range(len(radii) - 1, -1, -1):
-            combo[k] += 1
-            if combo[k] < radii[k]:
-                break
-            combo[k] = 0
-        else:
-            return
 
 
 def enumerate_models(spec: EnumerationSpec) -> Iterator[Model]:
     """Stream models in canonical order (exhaustive) or as a seeded
     sample with each membership drawn independently at probability 1/2."""
     sig = spec.signature
+    full = _components(sig)
     if spec.exhaustive:
         if search_space_size(spec) > spec.ceiling:
             raise CeilingExceeded(
                 f"exhaustive space {search_space_size(spec)} exceeds ceiling {spec.ceiling}"
             )
         for n in range(1, spec.max_worlds + 1):
-            for combo in _exhaustive_combos(_radices(sig, n)):
-                yield _decode(sig, n, combo)
+            offsets, width = _layout(sig, n, full)
+            for nomination in _nominations(sig, n):
+                for binary in range(1 << width):
+                    yield _decode(sig, n, nomination, binary, offsets)
         return
     rng = random.Random(spec.seed)
     for _ in range(spec.sample_count):
         n = rng.randint(1, spec.max_worlds)
-        combo: list[int] = []
-        for _ in sorted(sig.nominals):
-            combo.append(rng.randrange(n))
-        for _ in sorted(sig.actions):
-            combo.append(rng.getrandbits(n * n))
-            combo.append(rng.getrandbits(n * n))
-        for _ in sorted(sig.propositions):
-            combo.append(rng.getrandbits(n))
-            combo.append(rng.getrandbits(n))
-        yield _decode(sig, n, combo)
+        nomination = [rng.randrange(n) for _ in sig.nominals]
+        offsets = _layout(sig, n, full)[0]
+        binary = 0
+        for key, at in reversed(offsets.items()):  # most significant first
+            binary |= rng.getrandbits(n * n if key[0] in sig.actions else n) << at
+        yield _decode(sig, n, nomination, binary, offsets)
 
 
 # ---------------------------------------------------------------------------
@@ -219,26 +240,6 @@ def _bit_patterns(c: int) -> tuple[int, ...]:
     return tuple(patterns)
 
 
-def _layout(
-    sig: Signature, n: int, components: AbstractSet[tuple[str, bool]]
-) -> tuple[dict[tuple[str, bool], int], int]:
-    """Where the given (name, negated) relation and valuation components
-    sit in the binary part of a model index at n worlds, in the full
-    layout's order (actions, then propositions, each sorted, a positive
-    component above its negative one, the last lowest): the offset of each
-    one's lowest bit, and the part's width."""
-    parts = [(a, n * n) for a in sorted(sig.actions)]
-    parts += [(p, n) for p in sorted(sig.propositions)]
-    offsets: dict[tuple[str, bool], int] = {}
-    width = 0
-    for name, size in reversed(parts):
-        for key in ((name, True), (name, False)):
-            if key in components:
-                offsets[key] = width
-                width += size
-    return offsets, width
-
-
 class _Chunk:
     """Satisfaction over 2^c consecutive models at n worlds that share one
     nomination, bitsliced: bit m of an int stands for the chunk's model m.
@@ -250,9 +251,10 @@ class _Chunk:
     (name, negated) component read is added to reads."""
 
     def __init__(
-        self, offsets: dict[tuple[str, bool], int], n: int, named: dict[str, int],
-        c: int, chunk: int, reads: set[tuple[str, bool]],
+        self, sig: Signature, offsets: dict[tuple[str, bool], int], n: int,
+        named: dict[str, int], c: int, chunk: int, reads: set[tuple[str, bool]],
     ):
+        self.sig = sig
         self.offsets = offsets
         self.reads = reads
         self.n = n
@@ -266,8 +268,11 @@ class _Chunk:
             dict[Program, list[list[int]]], dict[Program, list[list[int]]]
         ] = ({}, {})
 
-    def _bits(self, name: str, negated: bool, count: int) -> list[int]:
-        """The models having each of the count bits of a component set."""
+    def _bits(self, name: str, negated: bool, names: frozenset[str], count: int) -> list[int]:
+        """The models having each of the count bits of a component set; the
+        name must be one of names, its namespace in the signature."""
+        if name not in names:
+            raise ModelError(f"{name!r} is not in the signature")
         self.reads.add((name, negated))
         base = self.offsets[name, negated]
         return [
@@ -275,6 +280,12 @@ class _Chunk:
             else self.full if self.chunk >> (pos - self.c) & 1 else 0
             for pos in range(base, base + count)
         ]
+
+    def _world(self, nominal: str) -> int:
+        """The world the nominal names in this chunk's nomination."""
+        if nominal not in self.named:
+            raise ModelError(f"{nominal!r} is not in the signature")
+        return self.named[nominal]
 
     def label(self, f: Formula, negated: bool = False) -> list[int]:
         """Per world, the models satisfying f, or !f when negated.  Both
@@ -285,10 +296,11 @@ class _Chunk:
             return out
         n, full, label = self.n, self.full, self.label
         if isinstance(f, PropVar):
-            out = self._bits(f.name, negated, n)
+            out = self._bits(f.name, negated, self.sig.propositions, n)
         elif isinstance(f, Nominal):
             on, off = (0, full) if negated else (full, 0)
-            out = [on if w == self.named[f.name] else off for w in range(n)]
+            world = self._world(f.name)
+            out = [on if w == world else off for w in range(n)]
         elif isinstance(f, Bottom):
             out = [full if negated else 0] * n
         elif isinstance(f, Neg):
@@ -306,7 +318,7 @@ class _Chunk:
             else:
                 out = [x | y for x, y in zip(left, right)]
         elif isinstance(f, At):
-            out = [label(f.body, negated)[self.named[f.nominal]]] * n
+            out = [label(f.body, negated)[self._world(f.nominal)]] * n
         elif isinstance(f, (Diamond, Box)):
             # <π>f: some successor satisfies f, [π]f: all do; negated, both
             # read !f over the negative complement with some and all swapped
@@ -331,7 +343,7 @@ class _Chunk:
             return out
         n, full = self.n, self.full
         if isinstance(program, Atomic):
-            pairs = self._bits(program.name, negated, n * n)
+            pairs = self._bits(program.name, negated, self.sig.actions, n * n)
             if negated:
                 pairs = [full ^ x for x in pairs]
             out = [pairs[u * n:(u + 1) * n] for u in range(n)]
@@ -394,10 +406,10 @@ def _chunks(
     offsets, width = _layout(sig, n, components)
     c = min(width, _CHUNK_BITS)
     nominals = sorted(sig.nominals)
-    for naming, worlds in enumerate(product(range(n), repeat=len(nominals))):
+    for naming, worlds in enumerate(_nominations(sig, n)):
         named = dict(zip(nominals, worlds))
         for chunk in range(1 << (width - c)):
-            block = _Chunk(offsets, n, named, c, chunk, reads)
+            block = _Chunk(sig, offsets, n, named, c, chunk, reads)
             good = block.full
             for sf in roots:
                 good &= block.holds_globally(sf)
@@ -428,35 +440,22 @@ def find_model(
         raise CeilingExceeded(
             f"exhaustive space {search_space_size(spec)} exceeds ceiling {spec.ceiling}"
         )
-    read = full = frozenset(product(sig.actions | sig.propositions, (False, True)))
+    read = _components(sig)
     for n in range(1, spec.max_worlds + 1):
         reads: set[tuple[str, bool]] = set()
-        try:
-            index = next(
-                (base + (good & -good).bit_length() - 1
-                 for base, good in _chunks(normalized, sig, n, read, reads) if good),
-                None,
-            )
-        except KeyError as exc:  # the chunk's only lookups by name
-            key = exc.args[0]
-            name = key[0] if isinstance(key, tuple) else key
-            raise ModelError(f"{name!r} is not in the signature") from None
+        index = next(
+            (base + (good & -good).bit_length() - 1
+             for base, good in _chunks(normalized, sig, n, read, reads) if good),
+            None,
+        )
         if index is None:
             if n == 1:
                 read = frozenset(reads)
             continue
-        if read != full:  # move each read component to its full position
-            offsets, width = _layout(sig, n, read)
-            full_offsets, full_width = _layout(sig, n, full)
-            naming, binary = divmod(index, 1 << width)
-            index = naming << full_width
-            for key, at in offsets.items():
-                size = n * n if key[0] in sig.actions else n
-                index |= (binary >> at & ((1 << size) - 1)) << full_offsets[key]
-        # positional decode, most significant component first
-        radii = _radices(sig, n)
-        combo = [index // prod(radii[k + 1:]) % radii[k] for k in range(len(radii))]
-        model = _decode(sig, n, combo)
+        offsets, width = _layout(sig, n, read)
+        naming, binary = divmod(index, 1 << width)
+        nomination = next(islice(_nominations(sig, n), naming, None))
+        model = _decode(sig, n, nomination, binary, offsets)
         for sf in normalized:
             if not globally_satisfies(model, sf):
                 raise OracleError(

@@ -592,32 +592,20 @@ def parse_model(text: str) -> Model:
             if not nominal.startswith("'"):
                 raise ModelError(f"line {lineno}: nominals are written with a leading '")
             naming[nominal[1:]] = world
-        elif line.startswith("action "):
-            body = line[len("action "):]
-            if ":" not in body:
-                raise ModelError(f"line {lineno}: expected action a pos:/neg:")
-            head, rest = body.split(":", 1)
+        elif line.startswith(("action ", "prop ")):
+            kind, body = line.split(" ", 1)
+            head, colon, rest = body.partition(":")
             parts = head.split()
-            if len(parts) != 2 or parts[1] not in ("pos", "neg"):
-                raise ModelError(f"line {lineno}: expected action a pos:/neg:")
+            if not colon or len(parts) != 2 or parts[1] not in ("pos", "neg"):
+                raise ModelError(f"line {lineno}: expected {kind} {kind[0]} pos:/neg:")
             name, side = parts
-            pos_rel.setdefault(name, set())
-            neg_rel.setdefault(name, set())
-            target = pos_rel if side == "pos" else neg_rel
-            target[name].update(_parse_pairs(rest, lineno))
-        elif line.startswith("prop "):
-            body = line[len("prop "):]
-            if ":" not in body:
-                raise ModelError(f"line {lineno}: expected prop p pos:/neg:")
-            head, rest = body.split(":", 1)
-            parts = head.split()
-            if len(parts) != 2 or parts[1] not in ("pos", "neg"):
-                raise ModelError(f"line {lineno}: expected prop p pos:/neg:")
-            name, side = parts
-            pos_val.setdefault(name, set())
-            neg_val.setdefault(name, set())
-            target = pos_val if side == "pos" else neg_val
-            target[name].update(rest.split())
+            if kind == "action":
+                pos, neg, members = pos_rel, neg_rel, _parse_pairs(rest, lineno)
+            else:
+                pos, neg, members = pos_val, neg_val, rest.split()
+            pos.setdefault(name, set())
+            neg.setdefault(name, set())
+            (pos if side == "pos" else neg)[name].update(members)
         else:
             raise ModelError(f"line {lineno}: unrecognised directive {line!r}")
     if not seen_worlds:

@@ -238,6 +238,17 @@ class TestExitStatus:
         assert code == 2
         assert "nested too deeply" in err
 
+    def test_deep_formula_past_the_parser_is_an_input_error(self, capsys, tmp_path):
+        # the parser reads a flat conjunction in a loop; the checker, the
+        # prover and the oracle recurse down its 3,000-deep spine
+        model = tmp_path / "all_p.model"
+        model.write_text("worlds: w0 w1\nprop p pos: w0 w1\nprop p neg:\n")
+        formula = " & ".join(["p"] * 3000)
+        for argv in (("check", "--model", str(model)), ("valid",), ("oracle",)):
+            code, _, err = invoke(capsys, *argv, "--formula", formula)
+            assert code == 2, argv
+            assert err == "error: input nested too deeply\n"
+
     def test_parse_error_echo_is_truncated(self, capsys):
         code, _, err = invoke(capsys, "valid", "--formula", "!" * 3000 + "p")
         assert code == 2

@@ -4,6 +4,7 @@ import subprocess
 import sys
 from dataclasses import fields
 from itertools import product
+from math import prod
 
 import pytest
 
@@ -17,7 +18,7 @@ from pdl4.oracle import (
     find_model,
     search_space_size,
 )
-from pdl4.semantics import ModelError, globally_satisfies, serialize_model
+from pdl4.semantics import Model, ModelError, globally_satisfies, serialize_model
 from pdl4.syntax import (
     Formula,
     Neg,
@@ -84,6 +85,45 @@ class TestEnumeration:
         with pytest.raises(CeilingExceeded):
             find_model([SignedFormula(PropVar("p"))], spec)
 
+    @pytest.mark.parametrize(
+        "sig, n",
+        [
+            (Signature(frozenset("pq"), frozenset("ij"), frozenset("ab")), 1),
+            (Signature(frozenset("p"), frozenset("i"), frozenset("a")), 2),
+        ],
+    )
+    def test_stream_counts_up_in_canonical_order(self, sig, n):
+        # a model's digits, most significant first: each nominal's world,
+        # then a positive and a negative mask per action and per proposition,
+        # names sorted within each kind
+        nominals, actions, props = (
+            sorted(names) for names in (sig.nominals, sig.actions, sig.propositions)
+        )
+        radices = [n] * len(nominals)
+        radices += [1 << n * n] * 2 * len(actions) + [1 << n] * 2 * len(props)
+        models = [m for m in enumerate_models(EnumerationSpec(sig, n)) if len(m.worlds) == n]
+        assert len(models) == prod(radices)
+        for index, model in enumerate(models):
+            digits = []
+            for radix in reversed(radices):
+                index, digit = divmod(index, radix)
+                digits.insert(0, digit)
+            masks = iter(digits[len(nominals):])
+            relations = {a: (next(masks), next(masks)) for a in actions}
+            valuations = {p: (next(masks), next(masks)) for p in props}
+            naming = dict(zip(nominals, digits))
+            assert model == _reference_model(n, naming, relations, valuations)
+
+    def test_samples_draw_components_in_canonical_order(self):
+        sig = Signature(frozenset("pq"), frozenset("ij"), frozenset("ab"))
+        rng = random.Random(5)
+        for model in enumerate_models(EnumerationSpec(sig, 3, sample_count=20, seed=5)):
+            n = rng.randint(1, 3)
+            naming = {i: rng.randrange(n) for i in "ij"}
+            relations = {a: (rng.getrandbits(n * n), rng.getrandbits(n * n)) for a in "ab"}
+            valuations = {p: (rng.getrandbits(n), rng.getrandbits(n)) for p in "pq"}
+            assert model == _reference_model(n, naming, relations, valuations)
+
     def test_max_worlds_validated(self):
         with pytest.raises(ValueError):
             EnumerationSpec(Signature(), 0)
@@ -141,6 +181,28 @@ class TestCountermodelSearch:
         model = countermodel_search([], goal, spec)
         assert model is not None
         assert not globally_satisfies(model, goal)
+
+
+def _reference_model(n, naming, relations, valuations):
+    """The model on w0..w(n-1) with each nominal's world and a (positive,
+    negative) pair of bit masks per action and proposition; bit u*n+v of a
+    relation mask is the pair (wu, wv)."""
+    w = [f"w{k}" for k in range(n)]
+
+    def pairs(mask):
+        return frozenset((w[k // n], w[k % n]) for k in range(n * n) if mask >> k & 1)
+
+    def members(mask):
+        return frozenset(w[k] for k in range(n) if mask >> k & 1)
+
+    return Model(
+        frozenset(w),
+        {a: pairs(pos) for a, (pos, _) in relations.items()},
+        {a: pairs(neg) for a, (_, neg) in relations.items()},
+        {i: w[k] for i, k in naming.items()},
+        {p: members(pos) for p, (pos, _) in valuations.items()},
+        {p: members(neg) for p, (_, neg) in valuations.items()},
+    )
 
 
 def _first_plain_match(roots, spec):
@@ -269,8 +331,12 @@ class TestBitslicedScan:
         assert search_space_size(EnumerationSpec(sig, 3)) == 50_339_856
 
     def test_names_outside_the_signature_are_refused(self):
-        spec = EnumerationSpec(Signature(frozenset({"p"}), frozenset(), frozenset()), 2)
-        for text in ("q", "<a>p", "@'i p"):
+        props = EnumerationSpec(Signature(frozenset({"p"}), frozenset(), frozenset()), 2)
+        # p is an action here, so its valuation must not be read off the
+        # relation's bits
+        actions = EnumerationSpec(Signature(frozenset(), frozenset(), frozenset({"p"})), 2)
+        cases = ((props, "q"), (props, "<a>p"), (props, "@'i p"), (actions, "p & false"))
+        for spec, text in cases:
             with pytest.raises(ModelError):
                 find_model([SignedFormula(parse_formula(text))], spec)
             # the one-world pass labels every root, even after one that no

@@ -277,7 +277,11 @@ class TestCachedNodeValues:
             done = subprocess.run(
                 [sys.executable, "-c", script],
                 input=pickle.dumps(f),
-                env={"PYTHONHASHSEED": seed, "PYTHONPATH": os.pathsep.join(sys.path)},
+                env={
+                    **os.environ,
+                    "PYTHONHASHSEED": seed,
+                    "PYTHONPATH": os.pathsep.join(sys.path),
+                },
                 capture_output=True,
             )
             assert done.returncode == 0, done.stderr.decode()
