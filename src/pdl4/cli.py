@@ -439,7 +439,13 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     oracle.add_argument("--samples", type=int, help="randomized mode sample count")
     oracle.add_argument("--seed", type=int, default=0)
-    oracle.add_argument("--ceiling", type=int, default=DEFAULT_CEILING)
+    oracle.add_argument(
+        "--ceiling",
+        type=int,
+        default=DEFAULT_CEILING,
+        help="most models an exhaustive search may scan at one world count "
+        "(default %(default)s); exit 2 above it",
+    )
     oracle.set_defaults(func=_cmd_oracle)
 
     selftest = sub.add_parser("selftest", help="run the built-in invariant suites")

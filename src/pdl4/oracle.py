@@ -4,8 +4,8 @@ countermodel finder and as an independent cross-check of the prover.
 Enumeration is canonical: worlds are always w0..w(n-1) (so relabelling
 the domain itself is never enumerated) and the component order is fixed
 (world count ascending, then nomination, relations and valuations in
-sorted-name order, each component counting up).  Exhaustive mode refuses
-search spaces above the configured ceiling.
+sorted-name order, each component counting up).  enumerate_models yields
+every model and refuses a raw space above the configured ceiling.
 
 Within a world count a model's index is its nomination, whose digits are
 the only ones of radix n, followed by a plain binary number of relation
@@ -14,16 +14,16 @@ stream, the seeded sampler's draws and the scan's witness from it.
 
 Exhaustive search is one bitsliced scan: bit m of a Python int stands for
 one model, and the satisfaction clauses are applied with & and | across
-all the models of a chunk at once.  The scan loops over nominations in
-index order and, under each, over chunks of 2^c consecutive binary parts
-in ascending order; in a chunk, a component bit below bit c is the fixed
-pattern "bit k of m" and one at or above bit c is constant.  The first
-witness is the lowest set bit of the roots' AND in the first chunk that
-has one, so it is the enumeration-first model, and, world counts being
-scanned in ascending order, world-minimal.  Every witness is decoded to a
-Model and re-checked with the reference model checker before it is
-returned.  Sharded scans would have to merge on the lowest witness index
-to keep that guarantee.
+all the models of a chunk at once.  The scan loops over the canonical
+nominations (below) in index order and, under each, over chunks of 2^c
+consecutive binary parts in ascending order; in a chunk, a component bit
+below bit c is the fixed pattern "bit k of m" and one at or above bit c
+is constant.  The first witness is the lowest set bit of the roots' AND
+in the first chunk that has one, so it is the enumeration-first model,
+and, world counts being scanned in ascending order, world-minimal.  Every
+witness is decoded to a Model and re-checked with the reference model
+checker before it is returned.  Sharded scans would have to merge on the
+lowest witness index to keep that guarantee.
 
 Above one world the scan enumerates only the components the roots read,
 a cone-of-influence reduction.  Each relation and valuation has a positive
@@ -33,14 +33,29 @@ every chunk and records each (name, negated) component read; larger world
 counts scan a pruned layout, the full one with the unread components
 removed, which decoding reads as empty.  No root's verdict depends on an
 unread component, so the enumeration-first witness has each empty and the
-pruned scan meets it first.  The ceiling still counts the raw space.
+pruned scan meets it first.
+
+The scan also breaks the symmetry of renaming worlds, by the lex-leader
+argument (Crawford, Ginsberg, Luks & Roy, KR 1996): it visits only the
+nominations that are restricted growth strings, the first sorted nominal
+at w0 and each later one at most one past the highest world used before
+it.  Renaming worlds maps models onto models and keeps every verdict, and
+renaming them in order of first use turns any nomination into such a
+string that is no greater in index order.  The nomination being the most
+significant part of the index, the enumeration-first witness has one, and
+the scan still meets it first.  An OracleError's index counts only the
+canonical nominations.
+
+The ceiling counts what is scanned: before each world count, the
+canonical nominations times the models of the layout scanned under each.
+At one world that is the raw one-world space; above it, the pruned one.
 """
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import islice, product
+from itertools import product
 from typing import AbstractSet, Iterator, Optional, Sequence, Union
 
 from .semantics import Model, ModelError, globally_satisfies
@@ -161,6 +176,27 @@ def _components(sig: Signature) -> frozenset[tuple[str, bool]]:
 def _nominations(sig: Signature, n: int) -> Iterator[tuple[int, ...]]:
     """Every nomination at n worlds in index order, a world per sorted nominal."""
     return product(range(n), repeat=len(sig.nominals))
+
+
+def _canonical_nominations(sig: Signature, n: int) -> list[tuple[int, ...]]:
+    """The nominations at n worlds that are restricted growth strings, in
+    index order: the first sorted nominal at w0, each later one at most one
+    past the highest world used before it."""
+    strings: list[tuple[int, ...]] = [()]
+    for _ in sig.nominals:
+        strings = [s + (w,) for s in strings for w in range(min(max(s, default=-1) + 2, n))]
+    return strings
+
+
+@lru_cache(maxsize=None)
+def _canonical_count(k: int, n: int) -> int:
+    """How many restricted growth strings of k nominals use at most n
+    worlds: the partitions of k things into at most n blocks, the sum of
+    the Stirling numbers S(k, j) for j up to n."""
+    row = [1] + [0] * n  # S(0, j)
+    for _ in range(k):
+        row = [0] + [j * row[j] + row[j - 1] for j in range(1, n + 1)]
+    return sum(row)
 
 
 def _decode(
@@ -397,16 +433,24 @@ def _some(row: Sequence[int], column: Sequence[int]) -> int:
 def _chunks(
     roots: Sequence[SignedFormula], sig: Signature, n: int,
     components: AbstractSet[tuple[str, bool]], reads: set[tuple[str, bool]],
+    ceiling: int,
 ) -> Iterator[tuple[int, int]]:
-    """For each chunk of the models at n worlds over the given components,
-    in index order: the index of its first model, and the models in it
-    satisfying every root.  The components read are added to reads.  At
-    one world every root is labelled; above it a chunk stops at the first
-    root that leaves no model."""
+    """For each chunk of the models at n worlds over the given components
+    under a canonical nomination, in index order: the index of its first
+    model, and the models in it satisfying every root.  The components read
+    are added to reads.  At one world every root is labelled; above it a
+    chunk stops at the first root that leaves no model.  Raises
+    CeilingExceeded, before the first chunk, if more than ceiling models
+    would be scanned."""
     offsets, width = _layout(sig, n, components)
+    size = _canonical_count(len(sig.nominals), n) << width
+    if size > ceiling:
+        raise CeilingExceeded(
+            f"exhaustive space {size} at {n} world{'s' * (n > 1)} exceeds ceiling {ceiling}"
+        )
     c = min(width, _CHUNK_BITS)
     nominals = sorted(sig.nominals)
-    for naming, worlds in enumerate(_nominations(sig, n)):
+    for naming, worlds in enumerate(_canonical_nominations(sig, n)):
         named = dict(zip(nominals, worlds))
         for chunk in range(1 << (width - c)):
             block = _Chunk(sig, offsets, n, named, c, chunk, reads)
@@ -436,16 +480,12 @@ def find_model(
             if all(globally_satisfies(model, sf) for sf in normalized):
                 return model
         return None
-    if search_space_size(spec) > spec.ceiling:
-        raise CeilingExceeded(
-            f"exhaustive space {search_space_size(spec)} exceeds ceiling {spec.ceiling}"
-        )
     read = _components(sig)
     for n in range(1, spec.max_worlds + 1):
         reads: set[tuple[str, bool]] = set()
+        chunks = _chunks(normalized, sig, n, read, reads, spec.ceiling)
         index = next(
-            (base + (good & -good).bit_length() - 1
-             for base, good in _chunks(normalized, sig, n, read, reads) if good),
+            (base + (good & -good).bit_length() - 1 for base, good in chunks if good),
             None,
         )
         if index is None:
@@ -454,7 +494,7 @@ def find_model(
             continue
         offsets, width = _layout(sig, n, read)
         naming, binary = divmod(index, 1 << width)
-        nomination = next(islice(_nominations(sig, n), naming, None))
+        nomination = _canonical_nominations(sig, n)[naming]
         model = _decode(sig, n, nomination, binary, offsets)
         for sf in normalized:
             if not globally_satisfies(model, sf):

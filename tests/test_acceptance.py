@@ -17,7 +17,7 @@ from pdl4.fourval import (
     neg4,
 )
 from pdl4.generators import random_formula, random_model, random_program
-from pdl4.oracle import EnumerationSpec, countermodel_search
+from pdl4.oracle import CeilingExceeded, EnumerationSpec, countermodel_search
 from pdl4.semantics import (
     diagram,
     globally_satisfies,
@@ -244,16 +244,25 @@ def test_default_limits_decide_the_gate():
             assert result.proved and result.stats.steps <= 1_000
 
 
-def test_criterion_6_prover_agrees_with_oracle():
-    started = time.monotonic()
+def _cross_check_with_oracle(max_worlds):
+    """Prove each gate problem and search it exhaustively up to max_worlds.
+    Prints and returns the problems where the two disagree, or where a
+    countermodel fails the checker; the refutations whose countermodel
+    needs more worlds; the indices the oracle's ceiling refuses; and the
+    proved and refuted counts."""
     confirmed_divergences = []
     bounded_only = []
+    refused = []
     proved = refuted = 0
-    for hypotheses, goal in _consequence_corpus():
+    for index, (hypotheses, goal) in enumerate(_consequence_corpus()):
         result = prove_consequence(hypotheses, goal, GENEROUS_LIMITS)
         assert not result.exhausted, (list(map(render, hypotheses)), render(goal))
-        spec = EnumerationSpec.for_formulas(hypotheses + [goal], 3)
-        witness = countermodel_search(hypotheses, goal, spec)
+        spec = EnumerationSpec.for_formulas(hypotheses + [goal], max_worlds)
+        try:
+            witness = countermodel_search(hypotheses, goal, spec)
+        except CeilingExceeded:
+            refused.append(index)
+            continue
         if result.proved:
             proved += 1
             if witness is not None:
@@ -268,11 +277,10 @@ def test_criterion_6_prover_agrees_with_oracle():
                 confirmed_divergences.append((hypotheses, goal, model))
             if witness is None:
                 # only legitimate when the tableau model needs more worlds
-                if len(model.worlds) <= 3:
+                if len(model.worlds) <= max_worlds:
                     confirmed_divergences.append((hypotheses, goal, model))
                 else:
                     bounded_only.append((hypotheses, goal, len(model.worlds)))
-    elapsed = time.monotonic() - started
     for hypotheses, goal, evidence in confirmed_divergences:
         print(
             "DIVERGENCE:",
@@ -290,12 +298,28 @@ def test_criterion_6_prover_agrees_with_oracle():
             "|=",
             render(goal),
         )
-    assert not confirmed_divergences
+    return confirmed_divergences, bounded_only, refused, proved, refuted
+
+
+def test_criterion_6_prover_agrees_with_oracle():
+    started = time.monotonic()
+    divergences, bounded_only, refused, proved, refuted = _cross_check_with_oracle(3)
+    elapsed = time.monotonic() - started
+    assert not divergences
+    assert not refused
     _report(
         6,
         f"200 consequence problems agree with the exhaustive oracle "
         f"(proved {proved}, refuted {refuted}, bounded-only {len(bounded_only)}, {elapsed:.0f}s)",
     )
+
+
+def test_prover_agrees_with_oracle_at_four_worlds():
+    # the scan's ceiling counts the models it visits, so at four worlds
+    # it refuses only these six of the gate's problems
+    divergences, _, refused, _, _ = _cross_check_with_oracle(4)
+    assert not divergences
+    assert refused == [6, 58, 95, 157, 161, 179]
 
 
 def test_criterion_7_refutations_verified_by_checker():

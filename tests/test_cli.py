@@ -277,18 +277,34 @@ class TestOracle:
         assert out.strip() == "NONE-UP-TO-BOUND"
 
     def test_ceiling_is_exit_2(self, capsys):
+        # 16 models at one world hold no countermodel; the 64 the scan
+        # would read at two exceed the ceiling
         code, _, err = invoke(
             capsys,
             "oracle",
             "--formula",
-            "[a][b](p -> q)",
+            "<a>p -> p",
             "--max-worlds",
             "3",
             "--ceiling",
-            "1000",
+            "20",
         )
         assert code == 2
-        assert "too large" in err
+        assert "too large" in err and "64 at 2 worlds" in err
+
+    def test_ceiling_counts_the_scanned_space(self, capsys):
+        # the raw four-world space holds 4,398,096,850,960 models; the scan
+        # reads 4 of the 8 components under one nomination, 2^20 models
+        code, out, _ = invoke(
+            capsys,
+            "oracle",
+            "--formula",
+            "p | <a*;(a+a)>@'i 'i -> @'i (p & p -> p -> 'i)",
+            "--max-worlds",
+            "4",
+        )
+        assert code == 0
+        assert out.strip() == "NONE-UP-TO-BOUND"
 
     def test_randomized_mode(self, capsys):
         code, out, _ = invoke(

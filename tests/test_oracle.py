@@ -82,8 +82,17 @@ class TestEnumeration:
         spec = EnumerationSpec(sig, 3, ceiling=1000)
         with pytest.raises(CeilingExceeded):
             list(enumerate_models(spec))
-        with pytest.raises(CeilingExceeded):
-            find_model([SignedFormula(PropVar("p"))], spec)
+        # the search counts what it scans: the raw 256 models at one world,
+        # then 2^24 at two, since this root reads every component
+        everything = parse_formula("false & <a><b>(p & q) & !<a><b>(p & q)")
+        with pytest.raises(CeilingExceeded, match="16777216 at 2 worlds"):
+            find_model([SignedFormula(everything)], spec)
+        with pytest.raises(CeilingExceeded, match="256 at 1 world exceeds"):
+            find_model([SignedFormula(PropVar("p"))], EnumerationSpec(sig, 3, ceiling=255))
+        # two nominals have 2 canonical nominations of 4 at two worlds
+        named = Signature(frozenset({"p"}), frozenset({"i", "j"}), frozenset())
+        with pytest.raises(CeilingExceeded, match="32 at 2 worlds"):
+            find_model([parse_formula("false & p & !p")], EnumerationSpec(named, 2, ceiling=31))
 
     @pytest.mark.parametrize(
         "sig, n",
@@ -229,10 +238,32 @@ def _drop_negations(node):
     return type(node)(*(_drop_negations(getattr(node, f.name)) for f in fields(node)))
 
 
+def _is_restricted_growth(nomination):
+    top = -1
+    for w in nomination:
+        if w > top + 1:
+            return False
+        top = max(top, w)
+    return True
+
+
 class TestBitslicedScan:
+    @pytest.mark.parametrize("nominals", ["", "i", "ij", "ijk"])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_canonical_nominations_are_the_restricted_growth_strings(self, nominals, n):
+        sig = Signature(frozenset(), frozenset(nominals), frozenset())
+        canonical = oracle._canonical_nominations(sig, n)
+        assert canonical == [
+            t for t in oracle._nominations(sig, n) if _is_restricted_growth(t)
+        ]
+        assert len(canonical) == oracle._canonical_count(len(nominals), n)
+        if nominals == "ijk":
+            assert len(canonical) == [1, 4, 5, 5][n - 1]
+
     def test_chunks_match_checker_on_full_space(self, monkeypatch):
         # at the default size one chunk covers each nomination; at 3 bits
-        # the bits above the chunk are constants taken from its number
+        # the bits above the chunk are constants taken from its number.
+        # The scan visits the models whose nomination is canonical: 'i at w0.
         sig = Signature(frozenset({"p"}), frozenset({"i"}), frozenset({"a"}))
         full = {(name, negated) for name in ("p", "a") for negated in (False, True)}
         rng = random.Random(9)
@@ -240,7 +271,8 @@ class TestBitslicedScan:
             monkeypatch.setattr(oracle, "_CHUNK_BITS", chunk_bits)
             size = 1 << min(oracle._layout(sig, n, full)[1], chunk_bits)
             models = [
-                m for m in enumerate_models(EnumerationSpec(sig, n)) if len(m.worlds) == n
+                m for m in enumerate_models(EnumerationSpec(sig, n))
+                if len(m.worlds) == n and m.naming["i"] == "w0"
             ]
             for _ in range(30):
                 sf = SignedFormula(
@@ -248,7 +280,7 @@ class TestBitslicedScan:
                     minus=bool(rng.getrandbits(1)),
                 )
                 truth = []
-                for base, good in oracle._chunks([sf], sig, n, full, set()):
+                for base, good in oracle._chunks([sf], sig, n, full, set(), 1 << 20):
                     assert base == len(truth)
                     truth.extend(bool(good >> m & 1) for m in range(size))
                 assert truth == [globally_satisfies(m, sf) for m in models], str(sf)
@@ -288,6 +320,24 @@ class TestBitslicedScan:
             found += model is not None and len(model.worlds) > 1
         assert found
 
+    def test_three_nominals_keep_the_first_witness(self):
+        # at three worlds the scan skips 22 of the 27 nominations; the
+        # first root keeps some nominals apart, so witnesses need more worlds
+        sig = Signature(frozenset({"p"}), frozenset({"i", "j", "k"}), frozenset())
+        apart = [
+            parse_formula(f)
+            for f in ("~@'j 'k", "~@'i 'j & ~@'j 'k", "~@'i 'j & ~@'i 'k & ~@'j 'k")
+        ]
+        rng = random.Random(33)
+        found = 0
+        for _ in range(40):
+            roots = [SignedFormula(rng.choice(apart))] + _random_roots(rng, sig)
+            spec = EnumerationSpec(sig, 3)
+            model = find_model(roots, spec)
+            assert model == _first_plain_match(roots, spec), [str(r) for r in roots]
+            found += model is not None and len(model.worlds) == 3
+        assert found
+
     @pytest.mark.parametrize("chunk_bits", [2, 3])
     @pytest.mark.parametrize(
         "sig",
@@ -324,7 +374,7 @@ class TestBitslicedScan:
         sig = Signature.of(roots)
         reads = set()
         full = {(name, negated) for name in ("p", "a") for negated in (False, True)}
-        for _ in oracle._chunks(roots, sig, 1, full, reads):
+        for _ in oracle._chunks(roots, sig, 1, full, reads, 1 << 20):
             pass
         assert reads == {("p", False), ("a", False)}
         assert oracle._layout(sig, 3, frozenset(reads))[1] == 12
