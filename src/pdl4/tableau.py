@@ -59,7 +59,12 @@ The table dies with the proof: one process-wide table of all syntax nodes
 grew without bound and raised check-deep's peak RSS from 26.8 to 34.6 MB
 (Python 3.11, 2-core VM).  A split shares the formula records: both sides
 note how many leading ones they share, and a side copies a shared record
-before marking its destructive rule applied.
+before marking its destructive rule applied.  The table also keeps each
+premise's conclusion columns, so a rule is applied once per proof; only
+the rules that make a nominal are applied afresh, since they name it from
+the applying branch's own counter.  add reads a statement's view once, and
+records each star eventuality as (neg, minus, body, nominal) in insertion
+order; the ignorable-branch check groups that record.
 """
 from __future__ import annotations
 
@@ -67,7 +72,7 @@ import re
 import time
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, NamedTuple, Optional, Sequence, Union
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence, Union
 
 from .semantics import Model, globally_satisfies
 from .syntax import (
@@ -102,6 +107,8 @@ _TIER_PAIR = 0        # non-branching non-destructive rules
 _TIER_DESTRUCTIVE = 1
 _TIER_BRANCHING = 2
 _TIER_EXISTENTIAL = 3
+
+_NONE: frozenset = frozenset()
 
 
 class TableauError(RuntimeError):
@@ -153,7 +160,7 @@ class BranchStatus:
 class _PairTask:
     rule: str
     premises: tuple[SignedFormula, ...]
-    conclusions: tuple[SignedFormula, ...]
+    conclusion: SignedFormula
 
 
 def _pair_task(
@@ -162,7 +169,7 @@ def _pair_task(
     """A universal atomic modality with body phi, applied along the
     relational literal to j."""
     name = ("neg-" if neg else "") + ("dia" if neg ^ minus else "box") + ("-minus" if minus else "")
-    return _PairTask(f"{name}-pair", (premise, edge), (at(j, phi, neg, minus),))
+    return _PairTask(f"{name}-pair", (premise, edge), at(j, phi, neg, minus))
 
 
 def _stmt(nominal: str, body: Formula, neg: bool = False, minus: bool = False) -> SignedFormula:
@@ -172,7 +179,22 @@ def _stmt(nominal: str, body: Formula, neg: bool = False, minus: bool = False) -
 class _StatementTable(dict):
     """One proof's @-statements, keyed by their decorated view (nominal,
     body, neg, minus); calling it builds a statement like _stmt, reusing
-    the table's object for a key seen before."""
+    the table's object for a key seen before.  conclude keeps the rule
+    conclusions of each premise whose rule makes no nominal."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.conclusions: dict[SignedFormula, tuple] = {}
+
+    def conclude(self, stmt: SignedFormula, fresh: Callable[[], str]):
+        """_conclude through this table, built once per premise unless the
+        rule takes a fresh name from the calling branch's counter."""
+        hit = self.conclusions.get(stmt)
+        if hit is None:
+            hit = _conclude(stmt, fresh, self)
+            if not hit[2]:
+                self.conclusions[stmt] = hit
+        return hit
 
     def __call__(self, nominal: str, body: Formula, neg: bool = False, minus: bool = False) -> SignedFormula:
         if not neg and isinstance(body, Neg):
@@ -184,10 +206,12 @@ class _StatementTable(dict):
         return stmt
 
 
-def _view(stmt: SignedFormula) -> tuple[str, bool, bool, Formula]:
+def _view(stmt: SignedFormula) -> Optional[tuple[str, bool, bool, Formula]]:
     """The decorated reading (nominal, neg, minus, body) of an @-statement,
-    with one leading ! peeled off into neg."""
+    with one leading ! peeled off into neg; None for a raw root."""
     f = stmt.formula
+    if not isinstance(f, At):
+        return None
     if isinstance(f.body, Neg):
         return f.nominal, True, stmt.minus, f.body.body
     return f.nominal, False, stmt.minus, f.body
@@ -333,16 +357,14 @@ _RULES = _rule_table()
 _AT_INTRO_MINUS = _Rule("at-intro-minus", _TIER_DESTRUCTIVE, _at_intro_minus)
 
 
-def _dispatch(stmt: SignedFormula) -> Optional[tuple[_Rule, tuple]]:
-    """The destructive rule a statement is premise of, if any, with the
-    view its builder takes.  Literals, constants and the universal atomic
-    modalities have none; plain raw roots are prefixed by the at-intro
-    pair rule."""
-    f = stmt.formula
-    if not isinstance(f, At):
+def _dispatch(stmt: SignedFormula, view: Optional[tuple]) -> Optional[tuple[_Rule, tuple]]:
+    """The destructive rule a statement, read in its view, is premise of,
+    if any, with the view its builder takes.  Literals, constants and the
+    universal atomic modalities have none; plain raw roots are prefixed by
+    the at-intro pair rule."""
+    if view is None:
         # a minus raw root is prefixed by a fresh nominal born at the root
-        return (_AT_INTRO_MINUS, (ROOT_ORIGIN, False, True, f)) if stmt.minus else None
-    view = _view(stmt)
+        return (_AT_INTRO_MINUS, (ROOT_ORIGIN, False, True, stmt.formula)) if stmt.minus else None
     _, neg, minus, body = view
     if not minus and _edge_target(neg, body) is not None:
         return None  # a relational literal
@@ -356,7 +378,7 @@ def _conclude(
 ) -> tuple[str, list[list[SignedFormula]], dict[str, str]]:
     """(rule name, conclusion columns, fresh nominals' parents) of the
     destructive rule a statement is premise of, built through at."""
-    rule, view = _dispatch(stmt)
+    rule, view = _dispatch(stmt, _view(stmt))
     columns, parents = rule.build(*view, rule.tier == _TIER_BRANCHING, fresh, at)
     return rule.name, columns, parents
 
@@ -400,6 +422,8 @@ class Branch:
             deque(),
         )
         self.parked: list[SignedFormula] = []
+        # Star eventualities as (neg, minus, body, nominal), in insertion order.
+        self.eventualities: list[tuple[bool, bool, Formula, str]] = []
         self.closed = False
         self.closed_reason: Optional[str] = None
         self.closed_deps = 0
@@ -436,6 +460,7 @@ class Branch:
             setattr(clone, name, {k: list(v) for k, v in getattr(self, name).items()})
         clone.queues = tuple(deque(q) for q in self.queues)
         clone.parked = list(self.parked)
+        clone.eventualities = list(self.eventualities)
         clone.closed = self.closed
         clone.closed_reason = self.closed_reason
         clone.closed_deps = self.closed_deps
@@ -458,9 +483,9 @@ class Branch:
         self.position[name] = len(self.nominal_order)
         self.nominal_order.append(name)
         # the self-equality axiom, and root-formula prefixing at this nominal
-        self._enqueue_pair(_PairTask("id", (), (self.table(name, Nominal(name)),)))
+        self._enqueue_pair(_PairTask("id", (), self.table(name, Nominal(name))))
         for raw in self.raw_plain:
-            self._enqueue_pair(_PairTask("at-intro", (raw,), (self.table(name, raw.formula),)))
+            self._enqueue_pair(_PairTask("at-intro", (raw,), self.table(name, raw.formula)))
 
     # -- insertion
 
@@ -481,72 +506,58 @@ class Branch:
         bf = BranchFormula(stmt, len(self.formulas), False, deps)
         self.formulas.append(bf)
         self.index[stmt] = bf
-        partner = None  # the clash partner, if the table has it
-        if isinstance(stmt.formula, At):
-            i, neg, minus, body = _view(stmt)
-            self.table.setdefault((i, body, neg, minus), stmt)
-            partner = self.table.get((i, body, neg, not minus))
-        self._assert_closure_property(stmt)
-        parents = fresh_parents or {}
+        view = _view(stmt)
+        if view is not None:
+            i, neg, minus, body = view
+            table = self.table
+            table.setdefault((i, body, neg, minus), stmt)
+            # The statement lies in the root closure, whole or with its !
+            # peeled off, and its decorated closure entries feed the
+            # loop-check; equalities and relational literals are exempt.
+            whole = stmt.formula.body
+            in_whole, in_body = whole in self.closure, neg and body in self.closure
+            if not (in_whole or in_body) and (
+                minus or (neg or not isinstance(body, Nominal)) and _edge_target(neg, body) is None
+            ):
+                raise TableauError(f"statement escapes the root closure: {stmt}")
+            entries = self.cl_statements.setdefault(i, set())
+            if in_whole:
+                entries.add((False, minus, whole))
+            if in_body:
+                entries.add((True, minus, body))
+            self._check_closed(bf, view, table.get((i, body, neg, not minus)))
         for name in stmt.nominals:
             if name not in nominal_deps:
-                self._register_nominal(name, parents.get(name, ROOT_ORIGIN), deps)
-        self._update_cl_statements(stmt)
-        self._check_closed(bf, partner)
-        hit = _dispatch(stmt)
+                self._register_nominal(name, (fresh_parents or {}).get(name, ROOT_ORIGIN), deps)
+        hit = _dispatch(stmt, view)
         if hit is not None:
-            self.queues[hit[0].tier].append(stmt)
-        self._register_roles(stmt)
+            rule = hit[0]
+            self.queues[rule.tier].append(stmt)
+            if rule.build is _star and rule.tier == _TIER_BRANCHING:
+                self.eventualities.append((neg, minus, body, i))
+        self._register_roles(stmt, view)
         return True
 
-    def _assert_closure_property(self, stmt: SignedFormula) -> None:
-        f = stmt.formula
-        if not isinstance(f, At):
-            return
-        _, neg, minus, body = _view(stmt)
-        if not minus and (
-            (not neg and isinstance(body, Nominal)) or _edge_target(neg, body) is not None
-        ):
-            return  # equalities and relational literals
-        if f.body not in self.closure and not (neg and body in self.closure):
-            raise TableauError(f"statement escapes the root closure: {stmt}")
-
-    def _update_cl_statements(self, stmt: SignedFormula) -> None:
-        f = stmt.formula
-        if not isinstance(f, At):
-            return
-        entries = self.cl_statements.setdefault(f.nominal, set())
-        if f.body in self.closure:
-            entries.add((False, stmt.minus, f.body))
-        if isinstance(f.body, Neg) and f.body.body in self.closure:
-            entries.add((True, stmt.minus, f.body.body))
-
-    def _check_closed(self, bf: BranchFormula, partner: Optional[SignedFormula]) -> None:
-        """Close the branch on a clash with bf, recording the clash's mask;
-        partner is bf's statement with the opposite mark, when built.  A
-        statement never built was never inserted, since add registers all."""
+    def _check_closed(self, bf: BranchFormula, view: tuple, partner: Optional[SignedFormula]) -> None:
+        """Close the branch on a clash with bf, an @-statement read in view,
+        recording the clash's mask; partner is bf's statement with the
+        opposite mark, when built.  A statement never built was never
+        inserted, since add registers all."""
         if self.closed:
             return
-        stmt = bf.statement
-        f = stmt.formula
-        if not isinstance(f, At):
-            return
-        body, deps = f.body, bf.deps
+        stmt, deps = bf.statement, bf.deps
+        i, neg, minus, body = view
         other = None if partner is None else self.index.get(partner)
         if other is not None:
             reason = f"clash on {stmt}"
             deps |= other.deps
-        elif stmt.minus:
-            if not (isinstance(body, Neg) and isinstance(body.body, Bottom)):
+        elif minus:
+            if not (neg and isinstance(body, Bottom)):
                 return
             reason = f"{stmt} denies verum"
-        elif isinstance(body, Bottom):
+        elif not neg and isinstance(body, Bottom):
             reason = f"{stmt} asserts falsum"
-        elif (
-            isinstance(body, Neg)
-            and isinstance(body.body, Nominal)
-            and body.body.name == f.nominal
-        ):
+        elif neg and isinstance(body, Nominal) and body.name == i:
             reason = f"{stmt} denies self-equality"
         else:
             return
@@ -557,16 +568,16 @@ class Branch:
     def _enqueue_pair(self, task: _PairTask) -> None:
         self.queues[_TIER_PAIR].append(task)
 
-    def _register_roles(self, stmt: SignedFormula) -> None:
+    def _register_roles(self, stmt: SignedFormula, view: Optional[tuple]) -> None:
         f = stmt.formula
-        if not isinstance(f, At):
+        if view is None:
             if not stmt.minus:
                 self.raw_plain.append(stmt)
                 for name in self.nominal_order:
-                    self._enqueue_pair(_PairTask("at-intro", (stmt,), (self.table(name, f),)))
+                    self._enqueue_pair(_PairTask("at-intro", (stmt,), self.table(name, f)))
             return
         at = self.table
-        i, neg, minus, body = _view(stmt)
+        i, neg, minus, body = view
         if isinstance(body, (Diamond, Box)) and isinstance(body.program, Atomic):
             key = (i, body.program.name, neg)
             if not _eventual(type(body), neg, minus):
@@ -588,34 +599,34 @@ class Branch:
             self.equalities.setdefault(i, []).append(body.name)
             for lit in self.literals_at.get(i, []):
                 self._enqueue_pair(
-                    _PairTask("nom", (stmt, at(i, lit)), (at(body.name, lit),))
+                    _PairTask("nom", (stmt, at(i, lit)), at(body.name, lit))
                 )
         if isinstance(body, (PropVar, Nominal)) or _edge_target(neg, body) is not None:
             self.literals_at.setdefault(i, []).append(f.body)
             for j in self.equalities.get(i, []):
                 self._enqueue_pair(
-                    _PairTask("nom", (at(i, Nominal(j)), stmt), (at(j, f.body),))
+                    _PairTask("nom", (at(i, Nominal(j)), stmt), at(j, f.body))
                 )
 
     # -- loop check
 
+    def blockers_of(self, i: str) -> Iterator[str]:
+        """The earlier nominals that include i, in order of occurrence: the
+        ones whose decorated closure statements subsume i's."""
+        cl_statements = self.cl_statements
+        mine = cl_statements.get(i, _NONE)
+        return (
+            j for j in self.nominal_order[: self.position[i]] if mine <= cl_statements.get(j, _NONE)
+        )
+
     def included_in(self, i: str, j: str) -> bool:
         """Whether i's decorated closure statements are subsumed by those of
         an earlier nominal j."""
-        if i == j or i not in self.generation or j not in self.generation:
-            return False
-        if self.first_occurrence(j) >= self.first_occurrence(i):
-            return False
-        mine = self.cl_statements.get(i, set())
-        theirs = self.cl_statements.get(j, set())
-        return mine <= theirs
-
-    def blockers_of(self, i: str) -> list[str]:
-        return [j for j in self.nominal_order if self.included_in(i, j)]
+        return i in self.position and j in self.blockers_of(i)
 
     def _is_blocked(self, stmt: SignedFormula) -> bool:
-        nominal = stmt.formula.nominal  # existential premises are @-statements
-        return any(self.included_in(nominal, j) for j in self.nominal_order)
+        # existential premises are @-statements
+        return any(self.blockers_of(stmt.formula.nominal))
 
     # -- agenda
 
@@ -623,7 +634,7 @@ class Branch:
         pairs, destructive, branching, existential = self.queues
         while pairs:
             task = pairs.popleft()
-            if any(c not in self.index for c in task.conclusions):
+            if task.conclusion not in self.index:
                 return task
         if destructive:
             return destructive.popleft()
@@ -648,7 +659,7 @@ class Branch:
         if destructive or branching:
             return True
         for task in pairs:
-            if any(c not in self.index for c in task.conclusions):
+            if task.conclusion not in self.index:
                 return True
         for stmt in list(existential) + self.parked:
             if not self._is_blocked(stmt):
@@ -670,14 +681,12 @@ class Branch:
             deps = 0
             for premise in task.premises:
                 deps |= self.index[premise].deps
-            for conclusion in task.conclusions:
-                self.add(conclusion, None, deps)
+            self.add(task.conclusion, None, deps)
             if transcript is not None:
                 transcript.append(
                     f"[b{self.branch_id}] {task.rule}: "
                     + ", ".join(map(str, task.premises))
-                    + " ==> "
-                    + "; ".join(map(str, task.conclusions))
+                    + f" ==> {task.conclusion}"
                 )
             return None
         stmt = task
@@ -688,7 +697,7 @@ class Branch:
             bf = BranchFormula(stmt, bf.origin_index, False, bf.deps)
             self.formulas[bf.origin_index] = self.index[stmt] = bf
         bf.destructive_applied = True
-        rule, branches, fresh_parents = _conclude(stmt, self.fresh_nominal, self.table)
+        rule, branches, fresh_parents = self.table.conclude(stmt, self.fresh_nominal)
         if stats is not None and fresh_parents:
             stats.fresh_nominals += len(fresh_parents)
         deps = bf.deps
@@ -797,16 +806,8 @@ def _ignorable_scan(branch: Branch) -> Optional[tuple[str, Formula, str]]:
     # A star eventuality @'i <α*>φ (or its dual under the decorations) is
     # fulfilled at j when @'j φ carries the same neg and the opposite mark.
     groups: dict[tuple[bool, bool, Formula], list[str]] = {}
-    for bf in branch.formulas:
-        if not isinstance(bf.statement.formula, At):
-            continue
-        i, neg, minus, body = _view(bf.statement)
-        if (
-            isinstance(body, (Diamond, Box))
-            and isinstance(body.program, Star)
-            and _eventual(type(body), neg, minus)
-        ):
-            groups.setdefault((neg, minus, body), []).append(i)
+    for neg, minus, body, i in branch.eventualities:
+        groups.setdefault((neg, minus, body), []).append(i)
     for (neg, minus, body), nominals in groups.items():
         if all(branch.contains(branch.table(j, body.body, neg, not minus)) for j in nominals):
             kind = _RULES[(type(body), Star, neg, minus)].name
@@ -851,8 +852,7 @@ def extract_model(branch: Branch) -> Model:
             {p: frozenset() for p in sig.propositions},
             {p: frozenset() for p in sig.propositions},
         )
-    blockers = {i: branch.blockers_of(i) for i in nominals}
-    unblocked = [i for i in nominals if not blockers[i]]
+    unblocked = [i for i in nominals if not any(branch.blockers_of(i))]
     position = branch.position
     # union-find over unblocked nominals, representative = earliest occurrence
     parent = {i: i for i in unblocked}
@@ -883,10 +883,10 @@ def extract_model(branch: Branch) -> Model:
             naming[i] = find(i)
         else:
             # route to the earliest unblocked nominal that includes i
-            targets = [j for j in unblocked if branch.included_in(i, j)]
-            if not targets:
+            target = next((j for j in branch.blockers_of(i) if j in member), None)
+            if target is None:
                 raise TableauError(f"blocked nominal {i} has no unblocked includer")
-            naming[i] = find(targets[0])
+            naming[i] = find(target)
     every_pair = frozenset((u, v) for u in worlds for v in worlds)
     pos_rel: dict[str, set[tuple[str, str]]] = {a: set() for a in sig.actions}
     neg_complement: dict[str, set[tuple[str, str]]] = {a: set() for a in sig.actions}
@@ -898,8 +898,8 @@ def extract_model(branch: Branch) -> Model:
             if x in member:
                 target_rel[action].add((find(i), find(x)))
             else:
-                for j in unblocked:
-                    if branch.included_in(x, j):
+                for j in branch.blockers_of(x):
+                    if j in member:
                         target_rel[action].add((find(i), find(j)))
     neg_rel = {
         a: frozenset(every_pair - frozenset(neg_complement[a])) for a in sig.actions

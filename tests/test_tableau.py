@@ -1,5 +1,7 @@
 import hashlib
 import random
+import re
+from collections import defaultdict
 
 from pdl4.generators import random_formula, random_model
 from pdl4.oracle import EnumerationSpec, countermodel_search
@@ -30,7 +32,12 @@ from pdl4.tableau import (
     ROOT_ORIGIN,
     BranchStatus,
     TableauLimits,
+    _at_intro_minus,
     _conclude,
+    _dispatch,
+    _exist,
+    _ignorable_scan,
+    _view,
     classify,
     extract_model,
     initialize,
@@ -38,7 +45,7 @@ from pdl4.tableau import (
     prove_from_roots,
     prove_validity,
 )
-from tableau_steps import apply_rules_step, inclusion
+from tableau_steps import apply_rules_step, ignorable_rescan, inclusion
 
 p, q = PropVar("p"), PropVar("q")
 a, b = Atomic("a"), Atomic("b")
@@ -433,7 +440,9 @@ class TestProver:
         assert result.exhausted
 
     def test_termination_on_deep_corpus(self):
-        # 200 deeper inputs, generous bound, no exhaustion
+        # 200 deeper inputs, generous bound, no exhaustion; the digest pins
+        # each search's (verdict, steps, branches, ignorable branches).
+        # Problem 63 alone takes 350,964 steps and 38,809 branches.
         from pdl4.syntax import Star as StarNode, _children
 
         def stars(node):
@@ -450,11 +459,18 @@ class TestProver:
                     return f
 
         limits = TableauLimits(max_steps=500_000)
+        searches = []
         for _ in range(200):
             delta = [draw(rng.randint(1, 6)) for _ in range(rng.randint(0, 2))]
             goal = draw(rng.randint(1, 6))
             result = prove_consequence(delta, goal, limits)
             assert not result.exhausted, (list(map(render, delta)), render(goal))
+            stats = result.stats
+            searches.append((result.verdict, stats.steps, stats.branches, stats.ignorable_branches))
+        assert searches[63] == ("proved", 350_964, 38_809, 34_672)
+        assert hashlib.sha256(repr(searches).encode()).hexdigest() == (
+            "6158c0cd9f5570c69ac80c5ed594ef41525bbee41f31347dbaf99a7b1e1b184c"
+        )
 
     def test_reserved_namespace_avoids_user_nominals(self):
         goal = parse_formula("@'t0 p | !p")
@@ -592,6 +608,58 @@ class TestStatementSharing:
             assert not sides[1 - fired_first].index[pending].destructive_applied
             sides[1 - fired_first].apply(pending, 100)
             assert sides[1 - fired_first].index[pending].destructive_applied
+
+    def test_existential_conclusions_are_not_kept(self):
+        # Gate problem 110, [a*;a](...): sibling branches expand the same
+        # existential premise after different numbers of fresh names.
+        from test_acceptance import _consequence_corpus
+
+        hypotheses, goal = _consequence_corpus()[110]
+        roots = [SignedFormula(h) for h in hypotheses] + [SignedFormula(goal, minus=True)]
+        finished = saturate(roots)
+        kept = finished[0].table.conclusions
+        assert kept
+        for premise in kept:
+            assert _dispatch(premise, _view(premise))[0].build not in (_exist, _at_intro_minus)
+        # every fresh name a branch holds came from its own counter
+        for branch in finished:
+            fresh = [n for n in branch.nominal_order if re.fullmatch(r"t\d+", n)]
+            assert sorted(fresh, key=lambda n: int(n[1:])) == [f"t{k}" for k in range(branch.fresh_counter)]
+        named = defaultdict(set)
+        for line in prove_consequence(hypotheses, goal, transcript=True).transcript:
+            hit = re.fullmatch(r"\[b\d+\] \S*-exist: (.*) ==> (.*)", line)
+            if hit:
+                named[hit.group(1)].add(hit.group(2))
+        assert sum(len(columns) > 1 for columns in named.values()) == 5
+
+
+class TestEventualityRecord:
+    def test_record_matches_a_full_rescan(self):
+        # Every terminal branch of the fixed families, and of a seeded
+        # slice of the gate corpus (the first 200 branches of each problem).
+        from test_acceptance import (
+            BLOCKING_FAMILY,
+            _consequence_corpus,
+            _non_validity_set,
+            _validity_set,
+        )
+
+        problems = [([], goal) for goal in _validity_set() + _non_validity_set()]
+        problems += [
+            ([parse_formula(h) for h in hypotheses], parse_formula(goal))
+            for hypotheses, goal in BLOCKING_FAMILY
+        ]
+        assert len(problems) == 26
+        problems += random.Random(19).sample(_consequence_corpus(), 100)
+        kinds = defaultdict(int)
+        for hypotheses, goal in problems:
+            roots = [SignedFormula(h) for h in hypotheses] + [SignedFormula(goal, minus=True)]
+            for branch in saturate(roots, max_branches=200):
+                expected = ignorable_rescan(branch)
+                assert _ignorable_scan(branch) == expected, list(map(str, roots))
+                kinds[None if expected is None else expected[0]] += 1
+        assert kinds[None] > 1000
+        assert kinds["dia-star"] > 100 and kinds["box-star-minus"] > 20, dict(kinds)
 
 
 # Rule-local soundness: for a premise that holds globally, some conclusion
