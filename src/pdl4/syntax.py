@@ -28,7 +28,7 @@ parse time and re-sugared by the printer.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, fields
+from dataclasses import MISSING, dataclass, fields
 from typing import Iterable, Iterator, NamedTuple, Optional, Union
 
 
@@ -39,31 +39,24 @@ from typing import Iterable, Iterator, NamedTuple, Optional, Union
 class _Node:
     """Shared behaviour of syntax nodes.
 
-    Each node computes two values once, at construction, from its
-    children's cached ones: its structural hash, equal to the hash the
-    dataclass would generate (the hash of the tuple of its fields), and
-    ``nominals``, the nominal names occurring in it (at atom or @
-    position) in leftmost-first order without repeats.  Hashing a node and
-    listing its nominals therefore cost O(1) at any depth.  Equality stays
-    the dataclass's structural comparison."""
+    A node is built in one call, by the constructor that ``_node``
+    generates for its class.  That constructor writes the fields, in
+    declaration order, straight into the instance dict, and with them two
+    values cached for the node's lifetime:
+
+    - ``_hash``, the hash of the tuple of the fields: bit for bit the hash
+      the dataclass would generate, so a node and the tuple of its fields
+      hash alike.  A hash of the children's cached ints would differ, since
+      ``hash(int)`` reduces modulo 2**61 - 1.
+    - ``nominals``, the nominal names occurring in the node (at atom or @
+      position) in leftmost-first order without repeats, merged from the
+      children's.
+
+    Hashing a node and listing its nominals therefore cost O(1) at any
+    depth.  Equality, ``repr`` and ``fields()`` stay the dataclass's."""
 
     _nominal_field: Optional[str] = None  # the field holding a nominal name
     nominals: tuple[str, ...]
-
-    def __post_init__(self) -> None:
-        # The frozen dataclass __init__ has set exactly the fields, in
-        # declaration order; the caches go into the same instance dict.
-        state = self.__dict__
-        values = tuple(state.values())
-        found: tuple[str, ...] = ()
-        if self._nominal_field is not None:
-            found = (state[self._nominal_field],)
-        for value in values:
-            if isinstance(value, _Node) and value.nominals:
-                more = value.nominals
-                found = tuple(dict.fromkeys(found + more)) if found else more
-        state["_hash"] = hash(values)
-        state["nominals"] = found
 
     def __hash__(self) -> int:
         return self._hash
@@ -75,9 +68,37 @@ class _Node:
 
 
 def _node(cls):
-    """Declare a syntax node: a frozen dataclass with the cached values."""
-    cls = dataclass(frozen=True)(cls)
+    """Declare a syntax node: a frozen dataclass without the dataclass's
+    ``__init__``, given instead one generated constructor that sets the
+    fields and the cached values of ``_Node`` in a single call.  A field
+    annotated ``Formula`` or ``Program`` is a child whose ``nominals`` are
+    merged in."""
+    cls = dataclass(frozen=True, init=False)(cls)
     cls.__hash__ = _Node.__hash__  # the dataclass installs a recursive one
+    # For At the source reads: d = self.__dict__; d['nominal'] = nominal;
+    # d['body'] = body; d['_hash'] = hash((nominal, body, )); then found,
+    # merged from (nominal,) and body.nominals, goes to d['nominals'].
+    params, body, namespace = ["self"], ["d = self.__dict__"], {}
+    for f in fields(cls):
+        if f.default is MISSING:
+            params.append(f.name)
+        else:
+            params.append(f"{f.name}=_default_{f.name}")
+            namespace[f"_default_{f.name}"] = f.default
+        body.append(f"d[{f.name!r}] = {f.name}")
+    values = "".join(f"{f.name}, " for f in fields(cls))
+    body.append(f"d['_hash'] = hash(({values}))")
+    parts = [f"{f.name}.nominals" for f in fields(cls) if f.type in ("Formula", "Program")]
+    if cls._nominal_field is not None:
+        parts.insert(0, f"({cls._nominal_field},)")
+    body.append(f"found = {parts[0] if parts else '()'}")
+    for part in parts[1:]:
+        body.append(f"more = {part}")
+        body.append("if more: found = tuple(dict.fromkeys(found + more)) if found else more")
+    body.append("d['nominals'] = found")
+    exec(f"def __init__({', '.join(params)}):\n    " + "\n    ".join(body), namespace)
+    cls.__init__ = namespace["__init__"]
+    cls.__init__.__qualname__ = f"{cls.__qualname__}.__init__"
     return cls
 
 
@@ -589,8 +610,8 @@ def render(f: Formula) -> str:
 
 
 def _render_f(f: Formula, context: int) -> str:
-    if isinstance(f, Implies) and f.right == Bottom():
-        if f.left == Bottom():
+    if isinstance(f, Implies) and isinstance(f.right, Bottom):
+        if isinstance(f.left, Bottom):
             return "true"
         return "~" + _render_f(f.left, 3)
     if isinstance(f, PropVar):
@@ -631,7 +652,9 @@ def _render_p(p: Program, context: int) -> str:
         return _render_p(p.body, 2) + "*"
     if isinstance(p, Test):
         cond = p.condition
-        if isinstance(cond, (PropVar, Nominal, Bottom)) or cond == top():
+        if isinstance(cond, (PropVar, Nominal, Bottom)) or (
+            isinstance(cond, Implies) and isinstance(cond.left, Bottom) and isinstance(cond.right, Bottom)
+        ):
             return _render_f(cond, 4) + "?"
         return "(" + render(cond) + ")?"
     if isinstance(p, Seq):

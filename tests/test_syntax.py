@@ -4,7 +4,7 @@ import random
 import subprocess
 import sys
 import weakref
-from dataclasses import fields
+from dataclasses import FrozenInstanceError, fields
 
 import pytest
 from hypothesis import given, settings
@@ -159,6 +159,13 @@ class TestRendering:
         assert render(Implies(p, Bottom())) == "~p"
         assert render(top()) == "true"
 
+    def test_tests_of_atoms_and_true_print_bare(self):
+        assert render_program(Test(top())) == "true?"
+        assert render_program(Test(Bottom())) == "false?"
+        assert render_program(Test(cneg(top()))) == "(~true)?"
+        assert render_program(Test(Implies(Bottom(), p))) == "(false -> p)?"
+        assert render_program(Test(Implies(p, Bottom()))) == "(~p)?"
+
     def test_minus_form(self):
         assert str(SignedFormula(p, minus=True)) == "(p)-"
 
@@ -261,6 +268,45 @@ class TestCachedNodeValues:
                 assert node.nominals == _first_occurrence_nominals(node)
         f = parse_formula("@'j (<a>'i & @'j 'k | [('i)?]'j)")
         assert f.nominals == ("j", "i", "k")
+
+    def test_rebuilt_from_field_values(self):
+        for x in self._corpus():
+            for node in _nodes(x):
+                copy = type(node)(*(getattr(node, f.name) for f in fields(node)))
+                assert copy == node and copy is not node
+                assert hash(copy) == hash(node)
+                assert copy.nominals == node.nominals
+                assert repr(copy) == repr(node)
+
+    def test_fields_are_frozen(self):
+        f = parse_formula("@'i <a*>(p & 'j)")
+        with pytest.raises(FrozenInstanceError):
+            f.nominal = "j"
+        with pytest.raises(FrozenInstanceError):
+            SignedFormula(f).minus = True
+        assert f == parse_formula("@'i <a*>(p & 'j)")
+
+    def test_signed_formula_arguments(self):
+        f = parse_formula("<a>'i")
+        assert SignedFormula(f).minus is False
+        assert SignedFormula(f) == SignedFormula(f, False)
+        assert SignedFormula(f, minus=True) == SignedFormula(formula=f, minus=True)
+        assert SignedFormula(f, minus=True).minus is True
+        assert SignedFormula(f, minus=True) != SignedFormula(f)
+        assert SignedFormula(f, minus=True).nominals == ("i",)
+
+    def test_wrong_argument_count(self):
+        for build in (
+            lambda: And(p),
+            lambda: And(p, q, p),
+            lambda: Bottom(p),
+            lambda: At("i"),
+            lambda: SignedFormula(),
+            lambda: SignedFormula(p, True, False),
+            lambda: Neg(body=p, left=q),
+        ):
+            with pytest.raises(TypeError):
+                build()
 
     def test_pickle_rebuilds_the_cache(self):
         # A cached hash is only valid in the process that computed it; the
