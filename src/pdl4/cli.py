@@ -10,48 +10,30 @@ from __future__ import annotations
 
 import argparse
 import os
-import random
 import sys
 from typing import Optional, Sequence
 
 from . import __version__
-from .fourval import VALUES, cneg4, designated, imp4, join_t, leq_t, meet_t, neg4
-from .generators import random_formula, random_model, random_program
 from .oracle import (
     CeilingExceeded,
     DEFAULT_CEILING,
     EnumerationSpec,
     OracleError,
-    enumerate_models,
     find_model,
 )
 from .semantics import (
     Model,
     ModelError,
     diagram,
-    globally_satisfies,
     load_model,
-    satisfies,
     satisfying_worlds,
     serialize_model,
-    to_four_model,
-    value4,
 )
 from .syntax import (
-    And,
-    Box,
-    Choice,
-    Diamond,
     Formula,
-    Implies,
-    Neg,
-    Or,
     ParseError,
-    Seq,
     SignedFormula,
     Signature,
-    Star,
-    Test,
     parse_formula,
     render,
 )
@@ -212,10 +194,8 @@ def _cmd_diagram(args) -> int:
     return 0
 
 
-def _cmd_prove(args, empty_hypotheses: bool = False) -> int:
+def _cmd_prove(args) -> int:
     roots, query = _gather_roots(args)
-    if empty_hypotheses and roots:
-        raise CliError("valid takes a bare formula, not hypotheses")
     roots = roots + [SignedFormula(query, minus=True)]
     result = prove_from_roots(roots, _limits(args), transcript=args.transcript)
     machine = args.format == "machine"
@@ -269,122 +249,15 @@ def _cmd_oracle(args) -> int:
 # Selftest
 
 
-def _selftest_fourval() -> None:
-    for x in VALUES:
-        assert neg4(neg4(x)) is x
-        assert cneg4(cneg4(x)) is x
-        for y in VALUES:
-            assert neg4(meet_t(x, y)) is join_t(neg4(x), neg4(y))
-            assert designated(imp4(x, y)) == ((not designated(x)) or designated(y))
-            for z in VALUES:
-                assert leq_t(meet_t(x, y), z) == leq_t(x, imp4(y, z))
-
-
-def _selftest_roundtrip() -> None:
-    rng = random.Random(11)
-    sig = Signature(frozenset({"p", "q"}), frozenset({"i", "j"}), frozenset({"a", "b"}))
-    for _ in range(200):
-        f = random_formula(rng, sig, rng.randint(0, 5))
-        assert parse_formula(render(f)) == f, render(f)
-
-
-def _selftest_four_valued_agreement() -> None:
-    rng = random.Random(23)
-    sig = Signature(frozenset({"p", "q"}), frozenset({"i"}), frozenset({"a"}))
-    for _ in range(40):
-        model = random_model(rng, sig, 3)
-        four = to_four_model(model)
-        for _ in range(10):
-            f = random_formula(rng, sig, rng.randint(1, 4), atomic_programs=True)
-            for w in model.worlds:
-                assert satisfies(model, w, f) == designated(value4(four, w, f))
-
-
-def _selftest_program_axioms() -> None:
-    rng = random.Random(37)
-    sig = Signature(frozenset({"p", "q"}), frozenset({"i"}), frozenset({"a", "b"}))
-    for _ in range(25):
-        model = random_model(rng, sig, 3)
-        phi = random_formula(rng, sig, 2)
-        psi = random_formula(rng, sig, 2)
-        alpha = random_program(rng, sig, 2)
-        beta = random_program(rng, sig, 2)
-        pairs = [
-            (Box(Seq(alpha, beta), phi), Box(alpha, Box(beta, phi))),
-            (Box(Choice(alpha, beta), phi), And(Box(alpha, phi), Box(beta, phi))),
-            (Box(Test(psi), phi), Implies(psi, phi)),
-            (Box(Star(alpha), phi), And(phi, Box(alpha, Box(Star(alpha), phi)))),
-            (Diamond(Seq(alpha, beta), phi), Diamond(alpha, Diamond(beta, phi))),
-            (Diamond(Choice(alpha, beta), phi), Or(Diamond(alpha, phi), Diamond(beta, phi))),
-            (Diamond(Test(psi), phi), And(psi, phi)),
-            (Diamond(Star(alpha), phi), Or(phi, Diamond(alpha, Diamond(Star(alpha), phi)))),
-        ]
-        for lhs, rhs in pairs:
-            for a, b in ((lhs, rhs), (Neg(lhs), Neg(rhs))):
-                for w in model.worlds:
-                    assert satisfies(model, w, a) == satisfies(model, w, b)
-
-
-def _selftest_prover() -> None:
-    cases_proved = [
-        "[a](p -> q) -> ([a]p -> [a]q)",
-        "p | ~p",
-        "(p & ~p) -> false",
-        "(~<a>p -> [a]~p) & ([a]~p -> ~<a>p)",
-        "([a*]p -> p & [a][a*]p) & (p & [a][a*]p -> [a*]p)",
-    ]
-    for text in cases_proved:
-        result = prove_from_roots(
-            [SignedFormula(parse_formula(text), minus=True)], TableauLimits()
-        )
-        assert result.proved, text
-    cases_refuted = ["p | !p", "~p -> !p", "(!<a>p -> [a]!p) & ([a]!p -> !<a>p)"]
-    for text in cases_refuted:
-        result = prove_from_roots(
-            [SignedFormula(parse_formula(text), minus=True)], TableauLimits()
-        )
-        assert result.refuted, text
-        goal = parse_formula(text)
-        assert not globally_satisfies(result.countermodel, goal)
-    blocking = prove_from_roots(
-        [
-            SignedFormula(parse_formula("~p")),
-            SignedFormula(parse_formula("~<a*>p"), minus=True),
-        ],
-        TableauLimits(),
-    )
-    assert blocking.proved and blocking.stats.blocked_existentials >= 1
-
-
-def _selftest_oracle() -> None:
-    sig = Signature(frozenset({"p"}), frozenset({"i"}), frozenset())
-    assert len(list(enumerate_models(EnumerationSpec(sig, 1)))) == 4
-    goal = parse_formula("p | !p")
-    spec = EnumerationSpec.for_formulas([goal], 2)
-    model = find_model([SignedFormula(goal, minus=True)], spec)
-    assert model is not None and len(model.worlds) == 1
-    assert find_model([SignedFormula(parse_formula("p | ~p"), minus=True)], spec) is None
-
-
 def _cmd_selftest(args) -> int:
-    suites = [
-        ("four-valued algebra laws", _selftest_fourval),
-        ("parser round trip", _selftest_roundtrip),
-        ("four-valued vs two-relation agreement", _selftest_four_valued_agreement),
-        ("composite program axioms", _selftest_program_axioms),
-        ("prover regression", _selftest_prover),
-        ("oracle enumeration", _selftest_oracle),
-    ]
-    failures = 0
-    for name, suite in suites:
-        try:
-            suite()
-        except AssertionError as exc:
-            failures += 1
-            print(f"FAIL {name}: {exc}")
-        else:
-            print(f"ok {name}")
-    return 0 if failures == 0 else 1
+    from .invariants import SELFTEST  # only selftest reads the laws
+
+    failed = False
+    for name, law in SELFTEST:
+        found = law()
+        print(f"FAIL {name}: {found[0]}" if found else f"ok {name}")
+        failed |= bool(found)
+    return 1 if failed else 0
 
 
 # ---------------------------------------------------------------------------
@@ -428,7 +301,7 @@ def _build_parser() -> argparse.ArgumentParser:
         )
         cmd.add_argument("--transcript", action="store_true")
         cmd.add_argument("--format", choices=("text", "machine"), default="text")
-        cmd.set_defaults(func=_cmd_prove, empty_hypotheses=is_valid)
+        cmd.set_defaults(func=_cmd_prove)
 
     oracle = sub.add_parser("oracle", help="bounded brute-force countermodel search")
     oracle.add_argument("--formula")
@@ -457,8 +330,6 @@ def run(argv: Sequence[str]) -> int:
     parser = _build_parser()
     args = parser.parse_args(list(argv))
     try:
-        if getattr(args, "empty_hypotheses", False):
-            return args.func(args, empty_hypotheses=True)
         return args.func(args)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -28,6 +28,9 @@ from .syntax import (
 )
 
 
+_BINARY = {"and": And, "or": Or, "implies": Implies, "seq": Seq, "choice": Choice}
+
+
 def random_program(
     rng: random.Random,
     signature: Signature,
@@ -44,18 +47,14 @@ def random_program(
     kind = rng.choice(("atomic", "seq", "choice", "star", "test"))
     if kind == "atomic":
         return Atomic(rng.choice(actions))
-    if kind == "seq":
-        return Seq(
-            random_program(rng, signature, depth - 1, test_depth),
-            random_program(rng, signature, depth - 1, test_depth),
-        )
-    if kind == "choice":
-        return Choice(
-            random_program(rng, signature, depth - 1, test_depth),
-            random_program(rng, signature, depth - 1, test_depth),
-        )
+
+    def sub() -> Program:
+        return random_program(rng, signature, depth - 1, test_depth)
+
+    if kind in _BINARY:
+        return _BINARY[kind](sub(), sub())
     if kind == "star":
-        return Star(random_program(rng, signature, depth - 1, test_depth))
+        return Star(sub())
     return Test(random_formula(rng, signature, test_depth, atomic_programs=True))
 
 
@@ -93,35 +92,21 @@ def random_formula(
     kind = rng.choice(kinds)
     if kind == "atom":
         return random_formula(rng, signature, 0, atomic_programs, program_depth)
+
+    def sub() -> Formula:
+        return random_formula(rng, signature, depth - 1, atomic_programs, program_depth)
+
     if kind == "neg":
-        return Neg(random_formula(rng, signature, depth - 1, atomic_programs, program_depth))
-    if kind == "and":
-        return And(
-            random_formula(rng, signature, depth - 1, atomic_programs, program_depth),
-            random_formula(rng, signature, depth - 1, atomic_programs, program_depth),
-        )
-    if kind == "or":
-        return Or(
-            random_formula(rng, signature, depth - 1, atomic_programs, program_depth),
-            random_formula(rng, signature, depth - 1, atomic_programs, program_depth),
-        )
-    if kind == "implies":
-        return Implies(
-            random_formula(rng, signature, depth - 1, atomic_programs, program_depth),
-            random_formula(rng, signature, depth - 1, atomic_programs, program_depth),
-        )
+        return Neg(sub())
+    if kind in _BINARY:
+        return _BINARY[kind](sub(), sub())
     if kind == "at":
-        return At(
-            rng.choice(noms),
-            random_formula(rng, signature, depth - 1, atomic_programs, program_depth),
-        )
-    program: Program
+        return At(rng.choice(noms), sub())
     if atomic_programs:
         program = Atomic(rng.choice(acts))
     else:
         program = random_program(rng, signature, program_depth)
-    body = random_formula(rng, signature, depth - 1, atomic_programs, program_depth)
-    return Diamond(program, body) if kind == "diamond" else Box(program, body)
+    return (Diamond if kind == "diamond" else Box)(program, sub())
 
 
 def random_model(

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import MISSING, dataclass, fields
-from typing import Iterable, Iterator, NamedTuple, Optional, Union
+from typing import Iterable, NamedTuple, Optional, Union
 
 
 # ---------------------------------------------------------------------------
@@ -71,8 +71,8 @@ def _node(cls):
     """Declare a syntax node: a frozen dataclass without the dataclass's
     ``__init__``, given instead one generated constructor that sets the
     fields and the cached values of ``_Node`` in a single call.  A field
-    annotated ``Formula`` or ``Program`` is a child whose ``nominals`` are
-    merged in."""
+    annotated ``Formula`` or ``Program`` is a child: its ``nominals`` are
+    merged in, and ``_children`` yields it."""
     cls = dataclass(frozen=True, init=False)(cls)
     cls.__hash__ = _Node.__hash__  # the dataclass installs a recursive one
     # For At the source reads: d = self.__dict__; d['nominal'] = nominal;
@@ -88,7 +88,8 @@ def _node(cls):
         body.append(f"d[{f.name!r}] = {f.name}")
     values = "".join(f"{f.name}, " for f in fields(cls))
     body.append(f"d['_hash'] = hash(({values}))")
-    parts = [f"{f.name}.nominals" for f in fields(cls) if f.type in ("Formula", "Program")]
+    cls._child_fields = tuple(f.name for f in fields(cls) if f.type in ("Formula", "Program"))
+    parts = [f"{name}.nominals" for name in cls._child_fields]
     if cls._nominal_field is not None:
         parts.insert(0, f"({cls._nominal_field},)")
     body.append(f"found = {parts[0] if parts else '()'}")
@@ -282,29 +283,8 @@ class Signature:
 Syntax = Union[Formula, Program, SignedFormula]
 
 
-def _children(x: Syntax) -> Iterator[Syntax]:
-    if isinstance(x, SignedFormula):
-        yield x.formula
-    elif isinstance(x, Neg):
-        yield x.body
-    elif isinstance(x, (And, Or, Implies)):
-        yield x.left
-        yield x.right
-    elif isinstance(x, At):
-        yield x.body
-    elif isinstance(x, (Diamond, Box)):
-        yield x.program
-        yield x.body
-    elif isinstance(x, Seq):
-        yield x.first
-        yield x.second
-    elif isinstance(x, Choice):
-        yield x.left
-        yield x.right
-    elif isinstance(x, Star):
-        yield x.body
-    elif isinstance(x, Test):
-        yield x.condition
+def _children(x: Syntax) -> list[Syntax]:
+    return [getattr(x, name) for name in x._child_fields]
 
 
 def nominals_of(x: Syntax) -> frozenset[str]:

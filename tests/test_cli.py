@@ -3,8 +3,11 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import reference_checker as reference
 from pdl4.cli import run
+from pdl4.fourval import FourValue
 from pdl4.semantics import load_model, parse_model, serialize_model
 from pdl4.syntax import parse_formula, render
 
@@ -114,6 +117,12 @@ class TestValid:
         assert code == 0 and out.startswith("PROVED")
         code, out, _ = invoke(capsys, "valid", "--formula", "!false -> false")
         assert code == 1
+
+    def test_hypotheses_are_rejected_by_the_parser(self, capsys):
+        for argv in (["valid", "--assume", "p", "--formula", "p"], ["valid", "--assertions", "F"]):
+            with pytest.raises(SystemExit) as exc:
+                run(argv)
+            assert exc.value.code == 2
 
 
 class TestAssertionFiles:
@@ -344,3 +353,30 @@ def test_selftest_is_green(capsys):
     lines = out.strip().splitlines()
     assert len(lines) == 6
     assert all(line.startswith("ok ") for line in lines)
+
+
+PLANTED_FAULT = "FAIL four-valued algebra laws: !!x = x fails at f"
+
+
+def test_selftest_reports_a_planted_fault(capsys, monkeypatch):
+    monkeypatch.setattr("pdl4.invariants.neg4", lambda value: FourValue.T)
+    code, out, _ = invoke(capsys, "selftest")
+    assert code == 1
+    assert out.splitlines()[0] == PLANTED_FAULT
+
+
+def test_selftest_checks_under_optimize():
+    # under -O every assert is stripped; the laws must check without them
+    script = (
+        "import sys, pdl4.invariants, pdl4.cli; from pdl4.fourval import FourValue; "
+        "pdl4.invariants.neg4 = lambda value: FourValue.T; "
+        "sys.exit(pdl4.cli.run(['selftest']))"
+    )
+    done = subprocess.run(
+        [sys.executable, "-O", "-c", script],
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+        capture_output=True,
+        text=True,
+    )
+    assert done.returncode == 1, done.stderr
+    assert done.stdout.splitlines()[0] == PLANTED_FAULT

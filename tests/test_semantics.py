@@ -6,8 +6,9 @@ import pytest
 
 import reference_checker as reference
 
-from pdl4.fourval import FourValue, designated
+from pdl4.fourval import FourValue
 from pdl4.generators import random_formula, random_model, random_program
+from pdl4.invariants import four_valued_agreement, program_axioms
 from pdl4.semantics import (
     CompositeProgramError,
     FourModel,
@@ -27,7 +28,6 @@ from pdl4.semantics import (
     _Labeller,
 )
 from pdl4.syntax import (
-    And,
     At,
     Atomic,
     Bottom,
@@ -313,18 +313,8 @@ def _sig(props=("p", "q"), noms=("i", "j"), acts=("a", "b")):
 
 class TestSemanticProperties:
     def test_two_presentations_agree(self):
-        rng = random.Random(41)
-        sig = _sig()
-        for _ in range(150):
-            m = random_model(rng, sig, 4)
-            fm = to_four_model(m)
-            for _ in range(8):
-                f = random_formula(rng, sig, rng.randint(1, 5), atomic_programs=True)
-                for w in m.worlds:
-                    assert satisfies(m, w, f) == designated(value4(fm, w, f)), (
-                        render(f),
-                        serialize_model(m),
-                    )
+        disagreements, _ = four_valued_agreement(random.Random(41), _sig(), 150, 8, 4, 5)
+        assert disagreements == []
 
     def test_k_axiom_valid_on_samples(self):
         rng = random.Random(43)
@@ -412,38 +402,8 @@ class TestSemanticProperties:
             )
 
     def test_program_axioms_hold_world_by_world(self):
-        rng = random.Random(67)
-        sig = _sig()
-        for _ in range(80):
-            m = random_model(rng, sig, 3)
-            phi = random_formula(rng, sig, 2)
-            psi = random_formula(rng, sig, 2)
-            alpha = random_program(rng, sig, 2)
-            beta = random_program(rng, sig, 2)
-            schemes = [
-                (Box(Seq(alpha, beta), phi), Box(alpha, Box(beta, phi))),
-                (Box(Choice(alpha, beta), phi), And(Box(alpha, phi), Box(beta, phi))),
-                (Box(Test(psi), phi), Implies(psi, phi)),
-                (Box(Star(alpha), phi), And(phi, Box(alpha, Box(Star(alpha), phi)))),
-                (Diamond(Seq(alpha, beta), phi), Diamond(alpha, Diamond(beta, phi))),
-                (
-                    Diamond(Choice(alpha, beta), phi),
-                    Or(Diamond(alpha, phi), Diamond(beta, phi)),
-                ),
-                (Diamond(Test(psi), phi), And(psi, phi)),
-                (
-                    Diamond(Star(alpha), phi),
-                    Or(phi, Diamond(alpha, Diamond(Star(alpha), phi))),
-                ),
-            ]
-            for lhs, rhs in schemes:
-                for form_l, form_r in ((lhs, rhs), (Neg(lhs), Neg(rhs))):
-                    for w in m.worlds:
-                        assert satisfies(m, w, form_l) == satisfies(m, w, form_r), (
-                            render(form_l),
-                            render(form_r),
-                            serialize_model(m),
-                        )
+        violations, _ = program_axioms(random.Random(67), _sig(), 80, 3)
+        assert violations == []
 
 
 def _nested_formula(rng, sig, depth):

@@ -345,16 +345,12 @@ class TestExtraction:
         # refuted iff some terminal branch is open
         rng = random.Random(83)
         sig = Signature(frozenset({"p"}), frozenset({"i"}), frozenset({"a"}))
-        from pdl4.syntax import Star as StarNode, _children
-
-        def stars(node):
-            own = 1 if isinstance(node, StarNode) else 0
-            return own + sum(stars(child) for child in _children(node))
+        from test_acceptance import _count_stars
 
         checked = 0
         while checked < 20:
             goal = random_formula(rng, sig, rng.randint(1, 3))
-            if stars(goal) > 1:
+            if _count_stars(goal) > 1:
                 continue
             checked += 1
             roots = [SignedFormula(goal, minus=True)]
@@ -443,11 +439,7 @@ class TestProver:
         # 200 deeper inputs, generous bound, no exhaustion; the digest pins
         # each search's (verdict, steps, branches, ignorable branches).
         # Problem 63 alone takes 350,964 steps and 38,809 branches.
-        from pdl4.syntax import Star as StarNode, _children
-
-        def stars(node):
-            own = 1 if isinstance(node, StarNode) else 0
-            return own + sum(stars(child) for child in _children(node))
+        from test_acceptance import _count_stars
 
         rng = random.Random(29)
         sig = Signature(frozenset({"p", "q"}), frozenset({"i"}), frozenset({"a", "b"}))
@@ -455,7 +447,7 @@ class TestProver:
         def draw(depth):
             while True:
                 f = random_formula(rng, sig, depth, program_depth=2)
-                if stars(f) <= 1:
+                if _count_stars(f) <= 1:
                     return f
 
         limits = TableauLimits(max_steps=500_000)
