@@ -5,7 +5,11 @@ Exit status: 0 when the query holds (PROVED / globally satisfied / no
 bounded countermodel / selftest green), 1 when it fails (REFUTED, a
 countermodel exists, a check fails), 2 on usage, input or resource
 errors, 3 on an internal error (a prover or oracle consistency check
-failed, which indicates a defect, not an answer)."""
+failed, or any other defect; never 1, which would read as an answer).
+
+Each subcommand imports the engine it runs when it runs: `prove` and
+`valid` the tableau prover, `oracle` the model search, `selftest` the
+laws; `check` and `diagram` load neither engine."""
 from __future__ import annotations
 
 import argparse
@@ -14,13 +18,6 @@ import sys
 from typing import Optional, Sequence
 
 from . import __version__
-from .oracle import (
-    CeilingExceeded,
-    DEFAULT_CEILING,
-    EnumerationSpec,
-    OracleError,
-    find_model,
-)
 from .semantics import (
     Model,
     ModelError,
@@ -36,11 +33,6 @@ from .syntax import (
     Signature,
     parse_formula,
     render,
-)
-from .tableau import (
-    TableauError,
-    TableauLimits,
-    prove_from_roots,
 )
 
 USAGE_ERROR = 2
@@ -131,7 +123,9 @@ def _gather_roots(args) -> tuple[list[SignedFormula], Formula]:
     return roots, _parse(args.formula)
 
 
-def _limits(args) -> TableauLimits:
+def _limits(args):
+    from .tableau import TableauLimits
+
     steps = args.steps
     if steps is None:
         steps = _env_number("PDL4_MAX_STEPS", int, "an integer")
@@ -195,6 +189,8 @@ def _cmd_diagram(args) -> int:
 
 
 def _cmd_prove(args) -> int:
+    from .tableau import prove_from_roots
+
     roots, query = _gather_roots(args)
     roots = roots + [SignedFormula(query, minus=True)]
     result = prove_from_roots(roots, _limits(args), transcript=args.transcript)
@@ -223,6 +219,8 @@ def _cmd_prove(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
+    from .oracle import DEFAULT_CEILING, CeilingExceeded, EnumerationSpec, find_model
+
     roots, query = _gather_roots(args)
     roots = roots + [SignedFormula(query, minus=True)]
     signature = Signature.of(roots)
@@ -231,7 +229,7 @@ def _cmd_oracle(args) -> int:
         _max_worlds(args),
         sample_count=args.samples,
         seed=args.seed,
-        ceiling=args.ceiling,
+        ceiling=DEFAULT_CEILING if args.ceiling is None else args.ceiling,
     )
     try:
         model = find_model(roots, spec)
@@ -315,9 +313,9 @@ def _build_parser() -> argparse.ArgumentParser:
     oracle.add_argument(
         "--ceiling",
         type=int,
-        default=DEFAULT_CEILING,
+        # oracle.DEFAULT_CEILING, written out so that parsing loads no oracle
         help="most models an exhaustive search may scan at one world count "
-        "(default %(default)s); exit 2 above it",
+        "(default 134217728); exit 2 above it",
     )
     oracle.set_defaults(func=_cmd_oracle)
 
@@ -338,13 +336,14 @@ def run(argv: Sequence[str]) -> int:
         # formulas deeper than the stack, in the checker, prover or oracle
         print("error: input nested too deeply", file=sys.stderr)
         return USAGE_ERROR
-    except (TableauError, OracleError) as exc:
-        print(f"internal error: {exc}", file=sys.stderr)
-        return INTERNAL_ERROR
     except ValueError as exc:
         # covers model errors, signature clashes, bad numeric inputs
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
+    except Exception as exc:
+        # a failed prover or oracle self-check, or any other defect
+        print(f"internal error: {exc}", file=sys.stderr)
+        return INTERNAL_ERROR
 
 
 def main() -> None:

@@ -1,3 +1,4 @@
+import importlib
 import os
 import subprocess
 import sys
@@ -8,6 +9,7 @@ import pytest
 import reference_checker as reference
 from pdl4.cli import run
 from pdl4.fourval import FourValue
+from pdl4.oracle import DEFAULT_CEILING, OracleError
 from pdl4.semantics import load_model, parse_model, serialize_model
 from pdl4.syntax import parse_formula, render
 
@@ -273,6 +275,24 @@ class TestExitStatus:
         assert out == ""
         assert err.startswith("internal error: extracted model fails root")
 
+    def test_any_prover_defect_is_an_internal_error(self, capsys, monkeypatch):
+        def broken(*args, **kwargs):
+            raise KeyError("planted")
+
+        monkeypatch.setattr("pdl4.tableau.prove_from_roots", broken)
+        code, out, err = invoke(capsys, "prove", "--formula", "p")
+        assert (code, out) == (3, "")
+        assert err == "internal error: 'planted'\n"
+
+    def test_oracle_self_check_is_an_internal_error(self, capsys, monkeypatch):
+        def broken(*args, **kwargs):
+            raise OracleError("planted witness fails a root")
+
+        monkeypatch.setattr("pdl4.oracle.find_model", broken)
+        code, out, err = invoke(capsys, "oracle", "--formula", "p")
+        assert (code, out) == (3, "")
+        assert err == "internal error: planted witness fails a root\n"
+
 
 class TestOracle:
     def test_countermodel_found(self, capsys):
@@ -315,6 +335,15 @@ class TestOracle:
         assert code == 0
         assert out.strip() == "NONE-UP-TO-BOUND"
 
+    def test_default_ceiling(self, capsys):
+        with pytest.raises(SystemExit):
+            run(["oracle", "--help"])
+        assert f"(default {DEFAULT_CEILING})" in capsys.readouterr().out
+        # four worlds fit under the default; the 2^30 models of five do not
+        code, out, err = invoke(capsys, "oracle", "--formula", "[a]p | ~[a]p", "--max-worlds", "5")
+        assert (code, out) == (2, "")
+        assert f"1073741824 at 5 worlds exceeds ceiling {DEFAULT_CEILING}" in err
+
     def test_randomized_mode(self, capsys):
         code, out, _ = invoke(
             capsys, "oracle", "--formula", "p | !p", "--samples", "200", "--seed", "3"
@@ -337,14 +366,76 @@ class TestOracle:
             assert "sample_count" in err
 
 
-def test_startup_does_not_import_numpy():
-    script = "import sys, pdl4, pdl4.cli; assert 'numpy' not in sys.modules"
-    done = subprocess.run(
-        [sys.executable, "-c", script],
+def child(script, *args, flags=()):
+    """Run a script in a fresh interpreter that sees this process's path."""
+    return subprocess.run(
+        [sys.executable, *flags, "-c", script, *args],
         env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
         capture_output=True,
+        text=True,
     )
-    assert done.returncode == 0, done.stderr.decode()
+
+
+SHARED = ["pdl4", "pdl4.cli", "pdl4.fourval", "pdl4.semantics", "pdl4.syntax"]
+
+
+@pytest.mark.parametrize(
+    "argv, engine",
+    [
+        (["check", "--model", EXAMPLE, "--formula", "p"], []),
+        (["diagram", "--model", EXAMPLE], []),
+        (["valid", "--formula", "~false"], ["pdl4.tableau"]),
+        (["prove", "--formula", "p"], ["pdl4.tableau"]),
+        (["oracle", "--formula", "p"], ["pdl4.oracle"]),
+    ],
+    ids=["check", "diagram", "valid", "prove", "oracle"],
+)
+def test_each_command_loads_only_its_engine(argv, engine):
+    # numpy is listed too, so a command that loads it fails here
+    script = (
+        "import sys; from pdl4.cli import run; run(sys.argv[1:]); "
+        "print(sorted(m for m in sys.modules if m.startswith(('pdl4', 'numpy'))))"
+    )
+    done = child(script, *argv)
+    assert done.stdout.splitlines()[-1] == repr(sorted(SHARED + engine)), done.stderr
+
+
+# Every name that pdl4/__init__.py imported from its home module before the
+# exports were made lazy.
+EXPORTS = {
+    "fourval": "FourValue VALUES cneg4 designated imp4 join_t leq_k leq_t meet_t neg4",
+    "oracle": "CeilingExceeded EnumerationSpec OracleError countermodel_search "
+    "enumerate_models find_model search_space_size",
+    "semantics": "CompositeProgramError FourModel Model ModelError ProgramDenotation diagram "
+    "from_four_model globally_satisfies interpret_program load_model parse_model satisfies "
+    "satisfying_worlds serialize_model to_four_model value4",
+    "syntax": "And At Atomic Bottom Box Choice Diamond Formula Implies Neg Nominal Or "
+    "ParseError Program PropVar Seq SignedFormula Signature Star Test actions_of cneg "
+    "fischer_ladner_closure iff nominals_of parse_formula parse_program propositions_of "
+    "render render_program top",
+    "tableau": "Branch BranchFormula BranchStatus CountermodelError ProofStats TableauError "
+    "TableauLimits TableauResult classify extract_model initialize prove_consequence "
+    "prove_from_roots prove_validity working_closure",
+}
+
+
+def test_package_exports_resolve_to_their_home_modules():
+    import pdl4
+
+    for module, names in EXPORTS.items():
+        home = importlib.import_module(f"pdl4.{module}")
+        for name in names.split():
+            assert name in pdl4.__all__ and name in dir(pdl4), name
+            assert getattr(pdl4, name) is getattr(home, name), name
+    with pytest.raises(AttributeError, match="no_such_name"):
+        pdl4.no_such_name
+    script = (
+        "import sys, pdl4; lazy = 'pdl4.tableau' not in sys.modules; "
+        "pdl4.tableau.prove_from_roots; from pdl4 import *; "
+        "print(lazy, [name for name in pdl4.__all__ if name not in globals()])"
+    )
+    done = child(script)
+    assert done.stdout == "True []\n", done.stderr
 
 
 def test_selftest_is_green(capsys):
@@ -372,11 +463,6 @@ def test_selftest_checks_under_optimize():
         "pdl4.invariants.neg4 = lambda value: FourValue.T; "
         "sys.exit(pdl4.cli.run(['selftest']))"
     )
-    done = subprocess.run(
-        [sys.executable, "-O", "-c", script],
-        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
-        capture_output=True,
-        text=True,
-    )
+    done = child(script, flags=["-O"])
     assert done.returncode == 1, done.stderr
     assert done.stdout.splitlines()[0] == PLANTED_FAULT
