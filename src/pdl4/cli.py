@@ -342,7 +342,7 @@ def run(argv: Sequence[str]) -> int:
         return USAGE_ERROR
     except Exception as exc:
         # a failed prover or oracle self-check, or any other defect
-        print(f"internal error: {exc}", file=sys.stderr)
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return INTERNAL_ERROR
 
 

@@ -30,7 +30,7 @@ import re
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Union
 
-from .fourval import FourValue, imp4, join_t, meet_t, neg4
+from .fourval import FourValue, designated, imp4, join_t, meet_t, neg4
 from .syntax import (
     And,
     At,
@@ -451,35 +451,31 @@ def _value4(fm: FourModel, w: str, f: Formula) -> FourValue:
 # Conversions between the two presentations
 
 
+# The four-valued reading of (positive evidence, negative evidence).
+_READING = {
+    (True, True): FourValue.B,
+    (True, False): FourValue.T,
+    (False, True): FourValue.F,
+    (False, False): FourValue.N,
+}
+
+
 def to_four_model(model: Model) -> FourModel:
     """Four-valued presentation: membership in both relations (or both
     valuations) reads as b, positive only as t, negative only as f,
     neither as n; nominals are t exactly at their named world."""
     rel: dict[str, dict[Pair, FourValue]] = {}
     for action in model.pos_rel:
-        table: dict[Pair, FourValue] = {}
         pos, neg = model.pos_rel[action], model.neg_rel[action]
-        for u in model.worlds:
-            for v in model.worlds:
-                pair = (u, v)
-                inp, inn = pair in pos, pair in neg
-                table[pair] = (
-                    FourValue.B if inp and inn
-                    else FourValue.T if inp
-                    else FourValue.F if inn
-                    else FourValue.N
-                )
-        rel[action] = table
+        rel[action] = {
+            (u, v): _READING[(u, v) in pos, (u, v) in neg]
+            for u in model.worlds
+            for v in model.worlds
+        }
     val: dict[tuple[str, str], FourValue] = {}
     for p in model.pos_val:
         for w in model.worlds:
-            inp, inn = w in model.pos_val[p], w in model.neg_val[p]
-            val[(p, w)] = (
-                FourValue.B if inp and inn
-                else FourValue.T if inp
-                else FourValue.F if inn
-                else FourValue.N
-            )
+            val[(p, w)] = _READING[w in model.pos_val[p], w in model.neg_val[p]]
     for i, named in model.naming.items():
         for w in model.worlds:
             val[(i, w)] = FourValue.T if w == named else FourValue.F
@@ -492,21 +488,11 @@ def from_four_model(fm: FourModel) -> Model:
     pos_rel: dict[str, frozenset[Pair]] = {}
     neg_rel: dict[str, frozenset[Pair]] = {}
     for action, table in fm.rel.items():
-        pos_rel[action] = frozenset(
-            pair for pair, v in table.items() if v in (FourValue.T, FourValue.B)
-        )
-        neg_rel[action] = frozenset(
-            pair for pair, v in table.items() if v in (FourValue.F, FourValue.B)
-        )
+        pos_rel[action] = frozenset(pair for pair, v in table.items() if designated(v))
+        neg_rel[action] = frozenset(pair for pair, v in table.items() if designated(neg4(v)))
     props = {name for name, _ in fm.val} - fm.nominals
-    pos_val = {
-        p: frozenset(w for w in fm.worlds if fm.val[(p, w)] in (FourValue.T, FourValue.B))
-        for p in props
-    }
-    neg_val = {
-        p: frozenset(w for w in fm.worlds if fm.val[(p, w)] in (FourValue.F, FourValue.B))
-        for p in props
-    }
+    pos_val = {p: frozenset(w for w in fm.worlds if designated(fm.val[(p, w)])) for p in props}
+    neg_val = {p: frozenset(w for w in fm.worlds if designated(neg4(fm.val[(p, w)]))) for p in props}
     naming = {i: fm.named_world(i) for i in fm.nominals}
     return Model(fm.worlds, pos_rel, neg_rel, naming, pos_val, neg_val)
 

@@ -4,19 +4,15 @@ hybrid formulas, plus the Fischer-Ladner closure.
 Formulas and programs are immutable trees; every value in this module is
 safe to share between threads, and parsing is reentrant.
 
-Concrete grammar (ASCII):
+Concrete grammar (ASCII), with the binary operators and their precedence
+and associativity given by ``_FORMULA_OPS`` and ``_PROGRAM_OPS``:
 
-    formula  :=  implic
-    implic   :=  disj ('->' implic)?             right associative
-    disj     :=  conj ('|' conj)*
-    conj     :=  unary ('&' unary)*
+    formula  :=  unary (('->' | '|' | '&') unary)*
     unary    :=  '!' unary | '~' unary | '@' NOMINAL unary
-              |  '<' program '>' unary | '[' program ']' unary | atom
-    atom     :=  'false' | 'true' | IDENT | NOMINAL | '(' formula ')'
+              |  '<' program '>' unary | '[' program ']' unary
+              |  'false' | 'true' | IDENT | NOMINAL | '(' formula ')'
 
-    program  :=  choice
-    choice   :=  seq ('+' seq)*
-    seq      :=  postfix (';' postfix)*
+    program  :=  postfix (('+' | ';') postfix)*
     postfix  :=  primary '*'*
     primary  :=  formula '?' | IDENT | '(' program ')'
 
@@ -29,7 +25,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import MISSING, dataclass, fields
-from typing import Iterable, NamedTuple, Optional, Union
+from typing import Iterable, Optional, Union
 
 
 # ---------------------------------------------------------------------------
@@ -324,6 +320,18 @@ def _atoms(items: Iterable[Syntax]) -> tuple[set[str], set[str]]:
 
 
 # ---------------------------------------------------------------------------
+# Operator table
+
+# The binary operators of each sort, by token: (precedence, node class,
+# right associative).  A higher precedence binds tighter.  The prefixes
+# (! ~ @'i <prog> [prog]) and the postfixes (* ?) bind tighter than every
+# entry.  These two tables are the only statement of precedence: the
+# parser and the printer both read them.
+_FORMULA_OPS = {"->": (0, Implies, True), "|": (1, Or, False), "&": (2, And, False)}
+_PROGRAM_OPS = {"+": (0, Choice, False), ";": (1, Seq, False)}
+
+
+# ---------------------------------------------------------------------------
 # Tokenizer
 
 
@@ -340,45 +348,40 @@ class ParseError(ValueError):
         super().__init__(detail)
 
 
-class _Token(NamedTuple):
-    kind: str
-    value: str
-    pos: int
-
-
 _TOKEN_RE = re.compile(
     r"""
-    (?P<ws>\s+)
+    \s+
   | (?P<nominal>'[a-z][a-z0-9_]*)
   | (?P<ident>[a-z][a-z0-9_]*)
-  | (?P<arrow>->)
-  | (?P<punct>[&|!~@<>\[\]();+*?])
+  | (?P<punct>->|[&|!~@<>\[\]();+*?])
+  | (?P<bad>.)
     """,
-    re.VERBOSE,
+    re.VERBOSE | re.DOTALL,
 )
 
 _KEYWORDS = {"false", "true"}
 
 
-def _tokenize(text: str) -> list[_Token]:
-    tokens: list[_Token] = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            raise ParseError(f"unexpected character {text[pos]!r}", pos)
+def _tokenize(text: str) -> list[tuple[str, str, int]]:
+    """The tokens of text as (kind, value, character position), ending in
+    an eof token at len(text)."""
+    tokens = []
+    for m in _TOKEN_RE.finditer(text):
         group, word = m.lastgroup, m.group()
         if group == "punct":
-            tokens.append(_Token(word, word, pos))
+            tokens.append((word, word, m.start()))
         elif group == "ident":
-            tokens.append(_Token(word if word in _KEYWORDS else "ident", word, pos))
+            tokens.append((word if word in _KEYWORDS else "ident", word, m.start()))
         elif group == "nominal":
-            tokens.append(_Token("nominal", word[1:], pos))
-        elif group == "arrow":
-            tokens.append(_Token("->", "->", pos))
-        pos = m.end()
-    tokens.append(_Token("eof", "", len(text)))
+            tokens.append(("nominal", word[1:], m.start()))
+        elif group == "bad":
+            raise ParseError(f"unexpected character {word!r}", m.start())
+    tokens.append(("eof", "", len(text)))
     return tokens
+
+
+def _unexpected(token: tuple[str, str, int], expected: tuple[str, ...]) -> ParseError:
+    return ParseError(f"unexpected {token[1] or 'end of input'!r}", token[2], expected)
 
 
 # ---------------------------------------------------------------------------
@@ -386,139 +389,102 @@ def _tokenize(text: str) -> list[_Token]:
 
 
 class _Parser:
-    def __init__(self, tokens: list[_Token]):
+    def __init__(self, tokens: list[tuple[str, str, int]]):
         self.tokens = tokens
         self.pos = 0
-        # formula() by start position: (formula, end position), or the
-        # arguments of the ParseError it raised.  A test in a program
-        # reparses the tokens a failed test reading consumed, which would
-        # otherwise take time exponential in the nesting.  Failures are kept
-        # as plain arguments and raised afresh: a kept ParseError would hold
-        # its traceback's frames alive, and every re-raise would lengthen it.
+        # A formula read at floor 0, by start position: (formula, end
+        # position), or the arguments of the ParseError it raised.  A test in
+        # a program reparses the tokens a failed test reading consumed, which
+        # would otherwise take time exponential in the nesting.  Failures are
+        # kept as plain arguments and raised afresh: a kept ParseError would
+        # hold its traceback's frames alive, and every re-raise would
+        # lengthen it.
         self.formulas: dict[int, tuple[Formula, int]] = {}
         self.failures: dict[int, tuple[str, int, tuple[str, ...]]] = {}
 
-    def peek(self) -> _Token:
-        return self.tokens[self.pos]
-
-    def advance(self) -> _Token:
-        tok = self.tokens[self.pos]
+    def expect(self, kind: str) -> str:
+        token = self.tokens[self.pos]
+        if token[0] != kind:
+            raise _unexpected(token, (kind,))
         self.pos += 1
-        return tok
+        return token[1]
 
-    def expect(self, kind: str) -> _Token:
-        tok = self.peek()
-        if tok.kind != kind:
-            raise ParseError(f"unexpected {tok.value or 'end of input'!r}", tok.pos, (kind,))
-        return self.advance()
+    def climb(self, ops: dict, floor: int = 0):
+        """Precedence climbing over one sort, the sort whose table is
+        ``ops``: operands joined by the entries of ``ops`` whose precedence
+        is ``floor`` or more.  A flat chain is read in this loop; only a
+        tighter right operand recurses.
 
-    # formulas
-
-    def formula(self) -> Formula:
-        start = self.pos
-        failure = self.failures.get(start)
-        if failure is not None:
-            raise ParseError(*failure)
-        known = self.formulas.get(start)
-        if known is not None:
-            f, self.pos = known
-            return f
+        The memo above is read and written here, for formulas at floor 0,
+        so that a parenthesised formula costs two frames: this and unary."""
+        formulas = ops is _FORMULA_OPS
+        memo = formulas and floor == 0
+        if memo:
+            start = self.pos
+            failure = self.failures.get(start)
+            if failure is not None:
+                raise ParseError(*failure)
+            known = self.formulas.get(start)
+            if known is not None:
+                tree, self.pos = known
+                return tree
         try:
-            f = self.disj()
-            if self.peek().kind == "->":
-                self.advance()
-                f = Implies(f, self.formula())
+            tree = self.unary() if formulas else self.prog_postfix()
+            while True:
+                entry = ops.get(self.tokens[self.pos][0])
+                if entry is None or entry[0] < floor:
+                    break
+                self.pos += 1
+                precedence, build, right_assoc = entry
+                tree = build(tree, self.climb(ops, precedence + (not right_assoc)))
         except ParseError as exc:
-            self.failures[start] = (exc.message, exc.position, exc.expected)
+            if memo:
+                self.failures[start] = (exc.message, exc.position, exc.expected)
             raise
-        self.formulas[start] = (f, self.pos)
-        return f
-
-    def disj(self) -> Formula:
-        out = self.conj()
-        while self.peek().kind == "|":
-            self.advance()
-            out = Or(out, self.conj())
-        return out
-
-    def conj(self) -> Formula:
-        out = self.unary()
-        while self.peek().kind == "&":
-            self.advance()
-            out = And(out, self.unary())
-        return out
+        if memo:
+            self.formulas[start] = (tree, self.pos)
+        return tree
 
     def unary(self) -> Formula:
-        tok = self.peek()
-        if tok.kind == "!":
-            self.advance()
+        token = self.tokens[self.pos]
+        kind = token[0]
+        self.pos += 1
+        if kind == "!":
             return Neg(self.unary())
-        if tok.kind == "~":
-            self.advance()
+        if kind == "~":
             return cneg(self.unary())
-        if tok.kind == "@":
-            self.advance()
+        if kind == "@":
             name = self.expect("nominal")
-            return At(name.value, self.unary())
-        if tok.kind == "<":
-            self.advance()
-            prog = self.program()
+            return At(name, self.unary())
+        if kind == "<":
+            prog = self.climb(_PROGRAM_OPS)
             self.expect(">")
             return Diamond(prog, self.unary())
-        if tok.kind == "[":
-            self.advance()
-            prog = self.program()
+        if kind == "[":
+            prog = self.climb(_PROGRAM_OPS)
             self.expect("]")
             return Box(prog, self.unary())
-        return self.atom()
-
-    def atom(self) -> Formula:
-        tok = self.peek()
-        if tok.kind == "false":
-            self.advance()
+        if kind == "ident":
+            return PropVar(token[1])
+        if kind == "nominal":
+            return Nominal(token[1])
+        if kind == "false":
             return Bottom()
-        if tok.kind == "true":
-            self.advance()
+        if kind == "true":
             return top()
-        if tok.kind == "ident":
-            self.advance()
-            return PropVar(tok.value)
-        if tok.kind == "nominal":
-            self.advance()
-            return Nominal(tok.value)
-        if tok.kind == "(":
-            self.advance()
-            f = self.formula()
+        if kind == "(":
+            f = self.climb(_FORMULA_OPS)
             self.expect(")")
             return f
-        raise ParseError(
-            f"unexpected {tok.value or 'end of input'!r}",
-            tok.pos,
-            ("proposition", "nominal", "false", "true", "("),
-        )
-
-    # programs
-
-    def program(self) -> Program:
-        out = self.prog_seq()
-        while self.peek().kind == "+":
-            self.advance()
-            out = Choice(out, self.prog_seq())
-        return out
-
-    def prog_seq(self) -> Program:
-        out = self.prog_postfix()
-        while self.peek().kind == ";":
-            self.advance()
-            out = Seq(out, self.prog_postfix())
-        return out
+        self.pos -= 1  # a RecursionError handler reads the token at pos
+        raise _unexpected(token, ("proposition", "nominal", "false", "true", "("))
 
     def prog_postfix(self) -> Program:
-        out = self.prog_primary()
-        while self.peek().kind == "*":
-            self.advance()
-            out = Star(out)
-        return out
+        prog = self.prog_primary()
+        while self.tokens[self.pos][0] == "*":
+            self.pos += 1
+            prog = Star(prog)
+        return prog
 
     def prog_primary(self) -> Program:
         # A test is a formula followed by '?'.  Since an identifier or a
@@ -526,58 +492,60 @@ class _Parser:
         # the test reading first and backtrack when '?' does not follow.
         mark = self.pos
         try:
-            condition = self.formula()
-            if self.peek().kind == "?":
-                self.advance()
+            condition = self.climb(_FORMULA_OPS)
+            if self.tokens[self.pos][0] == "?":
+                self.pos += 1
                 return Test(condition)
         except ParseError:
             pass
         self.pos = mark
-        tok = self.peek()
-        if tok.kind == "ident":
-            self.advance()
-            return Atomic(tok.value)
-        if tok.kind == "(":
-            self.advance()
-            prog = self.program()
+        token = self.tokens[mark]
+        if token[0] == "ident":
+            self.pos += 1
+            return Atomic(token[1])
+        if token[0] == "(":
+            self.pos += 1
+            prog = self.climb(_PROGRAM_OPS)
             self.expect(")")
             return prog
-        raise ParseError(
-            f"unexpected {tok.value or 'end of input'!r}",
-            tok.pos,
-            ("action", "test", "("),
-        )
+        raise _unexpected(token, ("action", "test", "("))
 
 
-def _parse_all(text: str, start):
+def _parse_all(text: str, ops: dict):
     parser = _Parser(_tokenize(text))
     try:
-        tree = start(parser)
+        tree = parser.climb(ops)
     except RecursionError:
-        raise ParseError("input nested too deeply", parser.peek().pos) from None
-    tok = parser.peek()
-    if tok.kind != "eof":
-        raise ParseError(f"trailing input {tok.value!r}", tok.pos, ("end of input",))
+        raise ParseError("input nested too deeply", parser.tokens[parser.pos][2]) from None
+    token = parser.tokens[parser.pos]
+    if token[0] != "eof":
+        raise ParseError(f"trailing input {token[1]!r}", token[2], ("end of input",))
     return tree
 
 
 def parse_formula(text: str) -> Formula:
     """Parse a formula; raises ParseError with position on bad input,
     including input nested deeper than the interpreter's recursion limit."""
-    return _parse_all(text, _Parser.formula)
+    return _parse_all(text, _FORMULA_OPS)
 
 
 def parse_program(text: str) -> Program:
     """Parse a program; raises ParseError with position on bad input,
     including input nested deeper than the interpreter's recursion limit."""
-    return _parse_all(text, _Parser.program)
+    return _parse_all(text, _PROGRAM_OPS)
 
 
 # ---------------------------------------------------------------------------
 # Printer
 
-# Formula precedence levels: -> is 0 (right associative), | is 1, & is 2,
-# prefixes are 3, atoms 4.  Programs: + is 0, ; is 1, postfix */? and atoms 2.
+# Each binary node class: its printed operator, precedence and associativity.
+_INFIX = {
+    build: (f" {token} " if ops is _FORMULA_OPS else token, precedence, right_assoc)
+    for ops in (_FORMULA_OPS, _PROGRAM_OPS)
+    for token, (precedence, build, right_assoc) in ops.items()
+}
+# The context of a prefix's or postfix's operand: tighter than every entry.
+_TIGHT = 1 + max(precedence for _, precedence, _ in _INFIX.values())
 
 
 def render(f: Formula) -> str:
@@ -586,64 +554,55 @@ def render(f: Formula) -> str:
     The classical-negation pattern Implies(x, Bottom) is re-sugared to ~x,
     and Implies(Bottom, Bottom) to true.
     """
-    return _render_f(f, 0)
-
-
-def _render_f(f: Formula, context: int) -> str:
-    if isinstance(f, Implies) and isinstance(f.right, Bottom):
-        if isinstance(f.left, Bottom):
-            return "true"
-        return "~" + _render_f(f.left, 3)
-    if isinstance(f, PropVar):
-        return f.name
-    if isinstance(f, Nominal):
-        return "'" + f.name
-    if isinstance(f, Bottom):
-        return "false"
-    if isinstance(f, Neg):
-        return "!" + _render_f(f.body, 3)
-    if isinstance(f, At):
-        return f"@'{f.nominal} " + _render_f(f.body, 3)
-    if isinstance(f, Diamond):
-        return f"<{render_program(f.program)}>" + _render_f(f.body, 3)
-    if isinstance(f, Box):
-        return f"[{render_program(f.program)}]" + _render_f(f.body, 3)
-    if isinstance(f, And):
-        text = _render_f(f.left, 2) + " & " + _render_f(f.right, 3)
-        return f"({text})" if context > 2 else text
-    if isinstance(f, Or):
-        text = _render_f(f.left, 1) + " | " + _render_f(f.right, 2)
-        return f"({text})" if context > 1 else text
-    if isinstance(f, Implies):
-        text = _render_f(f.left, 1) + " -> " + _render_f(f.right, 0)
-        return f"({text})" if context > 0 else text
-    raise TypeError(f"not a formula: {f!r}")
+    if not isinstance(f, Formula):
+        raise TypeError(f"not a formula: {f!r}")
+    return _render(f, 0)
 
 
 def render_program(p: Program) -> str:
     """Render a program so that parse_program(render_program(p)) == p."""
-    return _render_p(p, 0)
+    if not isinstance(p, Program):
+        raise TypeError(f"not a program: {p!r}")
+    return _render(p, 0)
 
 
-def _render_p(p: Program, context: int) -> str:
-    if isinstance(p, Atomic):
-        return p.name
-    if isinstance(p, Star):
-        return _render_p(p.body, 2) + "*"
-    if isinstance(p, Test):
-        cond = p.condition
+def _render(x: Union[Formula, Program], context: int) -> str:
+    """x printed as an operand read at precedence ``context``: parenthesised
+    when its own operator binds more loosely."""
+    cls = type(x)
+    infix = _INFIX.get(cls)
+    if infix is not None:
+        symbol, prec, right_assoc = infix
+        first, second = cls._child_fields
+        left, right = getattr(x, first), getattr(x, second)
+        if cls is Implies and type(right) is Bottom:
+            return "true" if type(left) is Bottom else "~" + _render(left, _TIGHT)
+        text = _render(left, prec + right_assoc) + symbol + _render(right, prec + (not right_assoc))
+        return f"({text})" if context > prec else text
+    if cls is PropVar or cls is Atomic:
+        return x.name
+    if cls is Nominal:
+        return "'" + x.name
+    if cls is Bottom:
+        return "false"
+    if cls is Neg:
+        return "!" + _render(x.body, _TIGHT)
+    if cls is At:
+        return f"@'{x.nominal} " + _render(x.body, _TIGHT)
+    if cls is Diamond:
+        return f"<{_render(x.program, 0)}>" + _render(x.body, _TIGHT)
+    if cls is Box:
+        return f"[{_render(x.program, 0)}]" + _render(x.body, _TIGHT)
+    if cls is Star:
+        return _render(x.body, _TIGHT) + "*"
+    if cls is Test:
+        cond = x.condition
         if isinstance(cond, (PropVar, Nominal, Bottom)) or (
             isinstance(cond, Implies) and isinstance(cond.left, Bottom) and isinstance(cond.right, Bottom)
         ):
-            return _render_f(cond, 4) + "?"
-        return "(" + render(cond) + ")?"
-    if isinstance(p, Seq):
-        text = _render_p(p.first, 1) + ";" + _render_p(p.second, 2)
-        return f"({text})" if context > 1 else text
-    if isinstance(p, Choice):
-        text = _render_p(p.left, 0) + "+" + _render_p(p.right, 1)
-        return f"({text})" if context > 0 else text
-    raise TypeError(f"not a program: {p!r}")
+            return _render(cond, _TIGHT) + "?"
+        return "(" + _render(cond, 0) + ")?"
+    raise TypeError(f"not a formula or program: {x!r}")
 
 
 # ---------------------------------------------------------------------------

@@ -273,7 +273,7 @@ class TestExitStatus:
         )
         assert code == 3
         assert out == ""
-        assert err.startswith("internal error: extracted model fails root")
+        assert err.startswith("internal error: CountermodelError: extracted model fails root")
 
     def test_any_prover_defect_is_an_internal_error(self, capsys, monkeypatch):
         def broken(*args, **kwargs):
@@ -282,7 +282,7 @@ class TestExitStatus:
         monkeypatch.setattr("pdl4.tableau.prove_from_roots", broken)
         code, out, err = invoke(capsys, "prove", "--formula", "p")
         assert (code, out) == (3, "")
-        assert err == "internal error: 'planted'\n"
+        assert err == "internal error: KeyError: 'planted'\n"
 
     def test_oracle_self_check_is_an_internal_error(self, capsys, monkeypatch):
         def broken(*args, **kwargs):
@@ -291,7 +291,7 @@ class TestExitStatus:
         monkeypatch.setattr("pdl4.oracle.find_model", broken)
         code, out, err = invoke(capsys, "oracle", "--formula", "p")
         assert (code, out) == (3, "")
-        assert err == "internal error: planted witness fails a root\n"
+        assert err == "internal error: OracleError: planted witness fails a root\n"
 
 
 class TestOracle:

@@ -50,6 +50,45 @@ p, q = PropVar("p"), PropVar("q")
 a, b = Atomic("a"), Atomic("b")
 
 
+def _precedence_cases():
+    """(id, parse, print, [(tree, parenthesised)]) for each ordered pair of
+    entries of each operator table, each prefix against each formula entry
+    and each postfix against each program entry."""
+    cases = []
+    sorts = (
+        ("formula", syntax._FORMULA_OPS, parse_formula, render, p, q),
+        ("program", syntax._PROGRAM_OPS, parse_program, render_program, a, b),
+    )
+    for sort, ops, parse, show, x, y in sorts:
+        for outer, (outer_prec, outer_build, right_assoc) in ops.items():
+            for inner, (inner_prec, inner_build, _) in ops.items():
+                sub = inner_build(x, y)
+                same = inner_prec == outer_prec
+                nestings = [
+                    (outer_build(sub, y), inner_prec < outer_prec or (same and right_assoc)),
+                    (outer_build(x, sub), inner_prec < outer_prec or (same and not right_assoc)),
+                ]
+                cases.append((f"{sort}-{inner}-in-{outer}", parse, show, nestings))
+    prefixes = {
+        "!": Neg, "~": cneg, "@": lambda f: At("i", f),
+        "<>": lambda f: Diamond(a, f), "[]": lambda f: Box(a, f),
+    }
+    for name, prefix in prefixes.items():
+        for entry, (_, build, _) in syntax._FORMULA_OPS.items():
+            nestings = [(prefix(build(p, q)), True), (build(prefix(p), q), False), (build(p, prefix(q)), False)]
+            cases.append((f"prefix-{name}-{entry}", parse_formula, render, nestings))
+    for entry, (_, build, _) in syntax._PROGRAM_OPS.items():
+        nestings = [(Star(build(a, b)), True), (build(Star(a), b), False), (build(Test(p), Star(a)), False)]
+        cases.append((f"postfix-*?-{entry}", parse_program, render_program, nestings))
+    for entry, (_, build, _) in syntax._FORMULA_OPS.items():
+        nestings = [(Test(build(p, q)), True)]
+        cases.append((f"postfix-?-{entry}", parse_program, render_program, nestings))
+    return cases
+
+
+_PRECEDENCE_CASES = _precedence_cases()
+
+
 class TestParsing:
     def test_at_diamond_nominal(self):
         assert parse_formula("@'i <a>'j") == At("i", Diamond(a, Nominal("j")))
@@ -64,12 +103,22 @@ class TestParsing:
     def test_true_desugars(self):
         assert parse_formula("true") == Implies(Bottom(), Bottom())
 
-    def test_precedence(self):
+    def test_precedence_chain(self):
         # unary > & > | > ->, with -> right associative
         assert parse_formula("!p & q | r -> s -> t") == Implies(
             Or(And(Neg(p), q), PropVar("r")),
             Implies(PropVar("s"), PropVar("t")),
         )
+
+    @pytest.mark.parametrize("case", _PRECEDENCE_CASES, ids=[c[0] for c in _PRECEDENCE_CASES])
+    def test_precedence(self, case):
+        # Each nesting is printed with parentheses exactly where the table
+        # requires them, and reads back as the same tree.
+        _, parse, show, nestings = case
+        for tree, parenthesised in nestings:
+            text = show(tree)
+            assert ("(" in text) == parenthesised, text
+            assert parse(text) == tree, text
 
     def test_at_binds_tightly(self):
         assert parse_formula("@'i p & q") == And(At("i", p), q)
@@ -99,6 +148,11 @@ class TestParsing:
         with pytest.raises(ParseError, match="nested too deeply"):
             parse_program("(" * 3000 + "a" + ")" * 3000)
 
+    def test_deep_parentheses_parse(self):
+        # a formula parenthesis costs the parser two frames, a program one three
+        assert parse_formula("(" * 300 + "p" + ")" * 300) == p
+        assert parse_program("(" * 250 + "a" + ")" * 250) == a
+
     def test_tests_nested_in_programs_parse_in_linear_time(self, monkeypatch):
         # Each level opens a group that is first read as a test formula and
         # then, when no '?' follows it, reread as a program.
@@ -107,14 +161,14 @@ class TestParsing:
             program = f"(<{program}>p?;a)"
         text = f"<{program}>p"
         calls = 0
-        advance = syntax._Parser.advance
+        unary = syntax._Parser.unary  # every formula operand passes here
 
         def counting(parser):
             nonlocal calls
             calls += 1
-            return advance(parser)
+            return unary(parser)
 
-        monkeypatch.setattr(syntax._Parser, "advance", counting)
+        monkeypatch.setattr(syntax._Parser, "unary", counting)
         f = parse_formula(text)
         assert isinstance(f, Diamond) and isinstance(f.program, Seq)
         assert calls <= 5 * len(syntax._tokenize(text))
