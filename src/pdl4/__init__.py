@@ -22,7 +22,7 @@ _EXPORTS = {
     "render render_program top",
     "tableau": "Branch BranchFormula BranchStatus CountermodelError ProofStats TableauError "
     "TableauLimits TableauResult classify extract_model initialize prove_consequence "
-    "prove_from_roots prove_validity working_closure",
+    "prove_from_roots prove_validity",
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names.split()}
 __all__ = [*_EXPORTS, *_HOME]

@@ -106,8 +106,8 @@ def _read_assertions(path: str) -> tuple[list[SignedFormula], Optional[Formula]]
     return roots, query
 
 
-def _gather_roots(args) -> tuple[list[SignedFormula], Formula]:
-    """Roots for prove/oracle: hypotheses plus the goal."""
+def _gather_roots(args) -> list[SignedFormula]:
+    """Roots for prove/oracle: the hypotheses plus the goal's minus form."""
     if args.assertions:
         roots, query = _read_assertions(args.assertions)
         if args.formula is not None:
@@ -116,11 +116,12 @@ def _gather_roots(args) -> tuple[list[SignedFormula], Formula]:
             query = _parse(args.formula)
         if query is None:
             raise CliError("no query: give --formula or a query: line")
-        return roots, query
-    if args.formula is None:
+    elif args.formula is None:
         raise CliError("a formula is required (--formula or --assertions)")
-    roots = [SignedFormula(_parse(text)) for text in (args.assume or [])]
-    return roots, _parse(args.formula)
+    else:
+        roots = [SignedFormula(_parse(text)) for text in (args.assume or [])]
+        query = _parse(args.formula)
+    return roots + [SignedFormula(query, minus=True)]
 
 
 def _limits(args):
@@ -191,8 +192,7 @@ def _cmd_diagram(args) -> int:
 def _cmd_prove(args) -> int:
     from .tableau import prove_from_roots
 
-    roots, query = _gather_roots(args)
-    roots = roots + [SignedFormula(query, minus=True)]
+    roots = _gather_roots(args)
     result = prove_from_roots(roots, _limits(args), transcript=args.transcript)
     machine = args.format == "machine"
     if result.transcript:
@@ -221,8 +221,7 @@ def _cmd_prove(args) -> int:
 def _cmd_oracle(args) -> int:
     from .oracle import DEFAULT_CEILING, CeilingExceeded, EnumerationSpec, find_model
 
-    roots, query = _gather_roots(args)
-    roots = roots + [SignedFormula(query, minus=True)]
+    roots = _gather_roots(args)
     signature = Signature.of(roots)
     spec = EnumerationSpec(
         signature,

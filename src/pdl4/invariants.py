@@ -12,8 +12,8 @@ from .fourval import VALUES, cneg4, designated, imp4, join_t, leq_t, meet_t, neg
 from .generators import random_formula, random_model, random_program
 from .oracle import EnumerationSpec, countermodel_search, enumerate_models
 from .semantics import globally_satisfies, satisfying_worlds, serialize_model, to_four_model, value4
-from .syntax import And, Box, Choice, Diamond, Formula, Implies, Neg, Or, Seq, Star, Test
-from .syntax import Signature, parse_formula, render
+from .syntax import Box, Choice, Diamond, Formula, Neg, Seq, Signature, Star, Test
+from .syntax import parse_formula, render, unfold
 from .tableau import prove_consequence, prove_validity
 
 
@@ -79,17 +79,14 @@ def four_valued_agreement(
 
 
 def program_schemes(alpha, beta, phi, psi) -> list[tuple[Formula, Formula]]:
-    """The box and diamond reduction schemes of the composite programs, as
-    (left, right) pairs whose sides hold at the same worlds."""
+    """Each box and diamond over a composite program, paired with its
+    one-step unfolding, the conclusion the prover's rule draws from it: the
+    two sides hold at the same worlds."""
     return [
-        (Box(Seq(alpha, beta), phi), Box(alpha, Box(beta, phi))),
-        (Box(Choice(alpha, beta), phi), And(Box(alpha, phi), Box(beta, phi))),
-        (Box(Test(psi), phi), Implies(psi, phi)),
-        (Box(Star(alpha), phi), And(phi, Box(alpha, Box(Star(alpha), phi)))),
-        (Diamond(Seq(alpha, beta), phi), Diamond(alpha, Diamond(beta, phi))),
-        (Diamond(Choice(alpha, beta), phi), Or(Diamond(alpha, phi), Diamond(beta, phi))),
-        (Diamond(Test(psi), phi), And(psi, phi)),
-        (Diamond(Star(alpha), phi), Or(phi, Diamond(alpha, Diamond(Star(alpha), phi)))),
+        (f, unfold(f))
+        for wrap in (Box, Diamond)
+        for f in (wrap(Seq(alpha, beta), phi), wrap(Choice(alpha, beta), phi),
+                  wrap(Test(psi), phi), wrap(Star(alpha), phi))
     ]
 
 

@@ -1,5 +1,7 @@
 """Abstract syntax, concrete parser and printer for four-valued dynamic
-hybrid formulas, plus the Fischer-Ladner closure.
+hybrid formulas, plus the one-step unfolding of composite programs and
+the Fischer-Ladner closure.  The closure holds each tableau rule's
+conclusions, since it steps through the same ``unfold`` the rules read.
 
 Formulas and programs are immutable trees; every value in this module is
 safe to share between threads, and parsing is reentrant.
@@ -577,7 +579,12 @@ def _render(x: Union[Formula, Program], context: int) -> str:
         left, right = getattr(x, first), getattr(x, second)
         if cls is Implies and type(right) is Bottom:
             return "true" if type(left) is Bottom else "~" + _render(left, _TIGHT)
-        text = _render(left, prec + right_assoc) + symbol + _render(right, prec + (not right_assoc))
+        texts = [_render(right, prec + (not right_assoc))]
+        while not right_assoc and type(left) is cls:  # a flat chain, walked in a loop
+            left, right = getattr(left, first), getattr(left, second)
+            texts.append(_render(right, prec + 1))
+        texts.append(_render(left, prec + right_assoc))
+        text = symbol.join(reversed(texts))
         return f"({text})" if context > prec else text
     if cls is PropVar or cls is Atomic:
         return x.name
@@ -606,11 +613,35 @@ def _render(x: Union[Formula, Program], context: int) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Fischer-Ladner closure
+# Program unfolding and the Fischer-Ladner closure
+
+
+def unfold(f: Union[Diamond, Box]) -> Optional[Formula]:
+    """The one-step reading of a modality over a composite program, which
+    the prover's rule for that program concludes; None over an atomic one.
+
+        <α;β>φ  <α><β>φ          [α;β]φ  [α][β]φ
+        <α+β>φ  <α>φ | <β>φ      [α+β]φ  [α]φ & [β]φ
+        <ψ?>φ   ψ & φ            [ψ?]φ   ψ -> φ
+        <α*>φ   φ | <α><α*>φ     [α*]φ   φ & [α][α*]φ
+    """
+    wrap, prog, body = type(f), f.program, f.body
+    join = Or if wrap is Diamond else And
+    if isinstance(prog, Seq):
+        return wrap(prog.first, wrap(prog.second, body))
+    if isinstance(prog, Choice):
+        return join(wrap(prog.left, body), wrap(prog.right, body))
+    if isinstance(prog, Test):
+        return (And if wrap is Diamond else Implies)(prog.condition, body)
+    if isinstance(prog, Star):
+        return join(body, wrap(prog.body, f))
+    return None
 
 
 def _closure_steps(f: Formula) -> list[Formula]:
-    """One decomposition step of the closure construction."""
+    """One decomposition step of the closure construction.  A modality
+    over a composite program steps to what its rule concludes: its
+    unfolding, or a star's two sides, which its rule adds apart."""
     if isinstance(f, Neg):
         return [f.body]
     if isinstance(f, (And, Or, Implies)):
@@ -618,22 +649,10 @@ def _closure_steps(f: Formula) -> list[Formula]:
     if isinstance(f, At):
         return [f.body]
     if isinstance(f, (Diamond, Box)):
-        wrap = Diamond if isinstance(f, Diamond) else Box
-        out: list[Formula] = [f.body]
-        prog = f.program
-        if isinstance(prog, Seq):
-            out.append(wrap(prog.first, wrap(prog.second, f.body)))
-        elif isinstance(prog, Choice):
-            out.append(wrap(prog.left, f.body))
-            out.append(wrap(prog.right, f.body))
-        elif isinstance(prog, Star):
-            out.append(wrap(prog.body, wrap(prog, f.body)))
-        elif isinstance(prog, Test):
-            if isinstance(f, Diamond):
-                out.append(And(prog.condition, f.body))
-            else:
-                out.append(Implies(prog.condition, f.body))
-        return out
+        step = unfold(f)
+        if step is None:
+            return [f.body]
+        return [step.left, step.right] if isinstance(f.program, Star) else [step]
     return []
 
 
@@ -641,7 +660,8 @@ def fischer_ladner_closure(
     root: Union[SignedFormula, Formula, Iterable[Union[SignedFormula, Formula]]],
 ) -> frozenset[Formula]:
     """Least formula set containing the root and closed under decomposition,
-    program unfolding and single paraconsistent negation.
+    program unfolding and single paraconsistent negation, so that it holds
+    the conclusion of every prover rule applied to a member.
 
     Computed as a worklist fixpoint; the result is finite.  A minus root
     contributes its body.  An iterable of roots yields the union closure.

@@ -24,6 +24,8 @@ when it is a diamond under an even number of the two decorations or a box
 under an odd number; the others act through pair rules along relational
 literals.  A star modality passing the same test is an eventuality: its
 rule splits, and the ignorable-branch check asks whether it is fulfilled.
+The rules for ;, +, ? and * conclude syntax.unfold of their premise (a
+star's rule adds its two sides apart); the closure steps through it too.
 
 Rule scheduling: non-branching non-destructive rules saturate first,
 then destructive non-branching ones, then branching ones, with
@@ -96,6 +98,7 @@ from .syntax import (
     Star,
     Test,
     fischer_ladner_closure,
+    unfold,
 )
 
 ROOT_ORIGIN = "*"
@@ -281,29 +284,15 @@ def _at_intro_minus(i, neg, minus, f, split, fresh, at) -> _Columns:
     return [[at(t, f, neg, minus)]], {t: i}
 
 
-def _seq(i, neg, minus, f, split, fresh, at) -> _Columns:
-    wrap, program = type(f), f.program
-    return [[at(i, wrap(program.first, wrap(program.second, f.body)), neg, minus)]], {}
-
-
-def _choice(i, neg, minus, f, split, fresh, at) -> _Columns:
-    wrap, program = type(f), f.program
-    join = And if wrap is Box else Or
-    inner = join(wrap(program.left, f.body), wrap(program.right, f.body))
-    return [[at(i, inner, neg, minus)]], {}
-
-
-def _test(i, neg, minus, f, split, fresh, at) -> _Columns:
-    condition = f.program.condition
-    inner = Implies(condition, f.body) if isinstance(f, Box) else And(condition, f.body)
-    return [[at(i, inner, neg, minus)]], {}
+def _unfold(i, neg, minus, f, split, fresh, at) -> _Columns:
+    return [[at(i, unfold(f), neg, minus)]], {}
 
 
 def _star(i, neg, minus, f, split, fresh, at) -> _Columns:
-    now = at(i, f.body, neg, minus)
-    later = at(i, type(f)(f.program.body, f), neg, minus)
+    step = unfold(f)
+    now, later = at(i, step.left, neg, minus), at(i, step.right, neg, minus)
     if split:
-        return [[now], [at(i, f.body, neg, not minus), later]], {}
+        return [[now], [at(i, step.left, neg, not minus), later]], {}
     return [[now, later]], {}
 
 
@@ -342,14 +331,10 @@ def _rule_table() -> dict[tuple, _Rule]:
                 eventual = _eventual(modality, neg, minus)
                 if eventual:  # the universal atomic modalities act through pair rules
                     put((modality, Atomic), f"{pre}{mname}{post}-exist", _TIER_EXISTENTIAL, _exist)
-                for program, pname, build in (
-                    (Seq, "seq", _seq),
-                    (Choice, "choice", _choice),
-                    (Test, "test", _test),
-                    (Star, "star", _star),
-                ):
-                    tier = _TIER_BRANCHING if program is Star and eventual else _TIER_DESTRUCTIVE
-                    put((modality, program), f"{pre}{mname}-{pname}{post}", tier, build)
+                for program, pname in ((Seq, "seq"), (Choice, "choice"), (Test, "test")):
+                    put((modality, program), f"{pre}{mname}-{pname}{post}", _TIER_DESTRUCTIVE, _unfold)
+                put((modality, Star), f"{pre}{mname}-star{post}",
+                    _TIER_BRANCHING if eventual else _TIER_DESTRUCTIVE, _star)
     return table
 
 
@@ -752,34 +737,12 @@ class Branch:
 # Public single-step interface
 
 
-def working_closure(
-    roots: Iterable[Union[SignedFormula, Formula]]
-) -> frozenset[Formula]:
-    """The Fischer-Ladner closure of the roots, extended with the compound
-    conclusions of the choice rewrite rules.
-
-    The choice rules conclude [α]φ∧[β]φ (resp. ⟨α⟩φ∨⟨β⟩φ) but the closure
-    itself only contains the two modal parts, so those transient compounds
-    are added here to keep every branch statement inside the set the
-    loop-check quantifies over."""
-    closure = set(fischer_ladner_closure(roots))
-    extra: set[Formula] = set()
-    for f in closure:
-        if isinstance(f, (Diamond, Box)) and isinstance(f.program, Choice):
-            left_prog, right_prog = f.program.left, f.program.right
-            if isinstance(f, Box):
-                extra.add(And(Box(left_prog, f.body), Box(right_prog, f.body)))
-            else:
-                extra.add(Or(Diamond(left_prog, f.body), Diamond(right_prog, f.body)))
-    return frozenset(closure | extra)
-
-
 def initialize(roots: Iterable[Union[SignedFormula, Formula]]) -> Branch:
     """The one-branch tableau holding the root formulas."""
     normalized = [
         r if isinstance(r, SignedFormula) else SignedFormula(r) for r in roots
     ]
-    closure = working_closure(normalized) if normalized else frozenset()
+    closure = fischer_ladner_closure(normalized)
     signature = Signature.of(normalized)
     fresh_start = 0
     for name in signature.nominals:

@@ -260,6 +260,13 @@ class TestExitStatus:
             assert code == 2, argv
             assert err == "error: input nested too deeply\n"
 
+    def test_flat_chain_prints_in_a_transcript(self, capsys):
+        # the printer walks a flat chain in a loop, as the parser reads it
+        formula = "p -> " + " | ".join(["p"] * 1200)
+        code, out, _ = invoke(capsys, "valid", "--formula", formula, "--transcript")
+        assert code == 0
+        assert out.splitlines()[-1].startswith("PROVED")
+
     def test_parse_error_echo_is_truncated(self, capsys):
         code, _, err = invoke(capsys, "valid", "--formula", "!" * 3000 + "p")
         assert code == 2
@@ -415,7 +422,7 @@ EXPORTS = {
     "render render_program top",
     "tableau": "Branch BranchFormula BranchStatus CountermodelError ProofStats TableauError "
     "TableauLimits TableauResult classify extract_model initialize prove_consequence "
-    "prove_from_roots prove_validity working_closure",
+    "prove_from_roots prove_validity",
 }
 
 
@@ -454,6 +461,23 @@ def test_selftest_reports_a_planted_fault(capsys, monkeypatch):
     code, out, _ = invoke(capsys, "selftest")
     assert code == 1
     assert out.splitlines()[0] == PLANTED_FAULT
+
+
+def test_selftest_checks_the_provers_unfolding(capsys, monkeypatch):
+    # the program law pairs each modality with syntax.unfold, the unfolding
+    # the prover's rules conclude, so a star unfolding without its now side
+    # fails it
+    from pdl4 import invariants
+    from pdl4.syntax import Star, unfold
+
+    def unfold_without_now(f):
+        return unfold(f).right if isinstance(f.program, Star) else unfold(f)
+
+    monkeypatch.setattr(invariants, "unfold", unfold_without_now)
+    code, out, _ = invoke(capsys, "selftest")
+    assert code == 1
+    failed = [line.split(":")[0] for line in out.splitlines() if not line.startswith("ok ")]
+    assert failed == ["FAIL composite program axioms"]
 
 
 def test_selftest_checks_under_optimize():

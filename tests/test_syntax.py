@@ -229,6 +229,17 @@ class TestRendering:
         g = parse_formula("p -> (q -> r)")
         assert render(g) == "p -> q -> r"
 
+    @pytest.mark.parametrize("symbol", [" & ", " | ", ";", "+"])
+    def test_flat_chains_print_in_a_loop(self, symbol):
+        # 1,200 terms sit deeper than the recursion limit.  The texts are
+        # compared, since == on two separately parsed chains recurses.
+        if symbol in (";", "+"):
+            text = symbol.join(["a", "b*", "p?"] * 400)
+            assert render_program(parse_program(text)) == text
+        else:
+            text = symbol.join(["p", "!q", "(p -> q)"] * 400)
+            assert render(parse_formula(text)) == text
+
 
 def _signature():
     return Signature(

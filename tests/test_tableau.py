@@ -30,13 +30,16 @@ from pdl4.syntax import (
 )
 from pdl4.tableau import (
     ROOT_ORIGIN,
+    Branch,
     BranchStatus,
+    TableauError,
     TableauLimits,
     _at_intro_minus,
     _conclude,
     _dispatch,
     _exist,
     _ignorable_scan,
+    _stmt,
     _view,
     classify,
     extract_model,
@@ -144,6 +147,33 @@ class TestRuleApplications:
         ]
         branches = saturate(roots, max_branches=40)
         assert branches
+
+    def test_closure_holds_every_rule_conclusion(self):
+        # Every decoration of a closure member that is some rule's premise
+        # concludes inside the closure; Branch.add raises on a statement
+        # that escapes it.  This covers every rule on each member, where
+        # saturating a tableau reaches only the premises it derives.
+        rng = random.Random(43)
+        sig = Signature(frozenset({"p", "q"}), frozenset({"i", "j"}), frozenset({"a", "b"}))
+        conclusions, escapes = 0, []
+        for _ in range(300):
+            depth, minus = rng.randint(1, 5), bool(rng.getrandbits(1))
+            closure = fischer_ladner_closure(SignedFormula(random_formula(rng, sig, depth), minus))
+            branch = Branch(closure, sig, 0)
+            for f in closure:
+                for decoration in ((False, False), (False, True), (True, False), (True, True)):
+                    premise = _stmt("i", f, *decoration)
+                    if _dispatch(premise, _view(premise)) is None:
+                        continue
+                    for column in _conclude(premise, branch.fresh_nominal)[1]:
+                        for conclusion in column:
+                            conclusions += 1
+                            try:
+                                branch.add(conclusion)
+                            except TableauError:
+                                escapes.append(str(conclusion))
+        assert not escapes, (len(escapes), escapes[:3])
+        assert conclusions > 15_000
 
     def test_per_nominal_statement_bound(self):
         roots = [
