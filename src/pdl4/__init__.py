@@ -20,7 +20,7 @@ _EXPORTS = {
     "ParseError Program PropVar Seq SignedFormula Signature Star Test actions_of cneg "
     "fischer_ladner_closure iff nominals_of parse_formula parse_program propositions_of "
     "render render_program top",
-    "tableau": "Branch BranchFormula BranchStatus CountermodelError ProofStats TableauError "
+    "tableau": "Branch BranchStatus CountermodelError ProofStats TableauError "
     "TableauLimits TableauResult classify extract_model initialize prove_consequence "
     "prove_from_roots prove_validity",
 }

@@ -27,6 +27,12 @@ rule splits, and the ignorable-branch check asks whether it is fulfilled.
 The rules for ;, +, ? and * conclude syntax.unfold of their premise (a
 star's rule adds its two sides apart); the closure steps through it too.
 
+A destructive rule fires at most once per premise per branch without a
+flag saying so: add drops a statement the branch already holds, so a
+statement enters the agenda at most once per branch; next_task takes it
+off the agenda before apply fires it; and a split copies the branch
+inside apply, after that removal, so neither side still has it queued.
+
 Rule scheduling: non-branching non-destructive rules saturate first,
 then destructive non-branching ones, then branching ones, with
 existential rules last, each tier through a FIFO agenda.  This keeps
@@ -59,12 +65,10 @@ exact; equality and hashes stay structural.  add registers every statement
 it inserts, so a key missing from the table names no branch's statement.
 The table dies with the proof: one process-wide table of all syntax nodes
 grew without bound and raised check-deep's peak RSS from 26.8 to 34.6 MB
-(Python 3.11, 2-core VM).  A split shares the formula records: both sides
-note how many leading ones they share, and a side copies a shared record
-before marking its destructive rule applied.  The table also keeps each
-premise's conclusion columns, so a rule is applied once per proof; only
-the rules that make a nominal are applied afresh, since they name it from
-the applying branch's own counter.  add reads a statement's view once, and
+(Python 3.11, 2-core VM).  The table also keeps each premise's
+conclusion columns, so a rule is applied once per proof; only the rules
+that make a nominal are applied afresh, since they name it from the
+applying branch's own counter.  add reads a statement's view once, and
 records each star eventuality as (neg, minus, body, nominal) in insertion
 order; the ignorable-branch check groups that record.
 """
@@ -100,8 +104,6 @@ from .syntax import (
     fischer_ladner_closure,
     unfold,
 )
-
-ROOT_ORIGIN = "*"
 
 _RESERVED = re.compile(r"^t(\d+)$")
 
@@ -143,14 +145,6 @@ class ProofStats:
     elapsed: float = 0.0
 
 
-@dataclass
-class BranchFormula:
-    statement: SignedFormula
-    origin_index: int
-    destructive_applied: bool = False
-    deps: int = 0  # split levels the derivation rests on, bit level - 1
-
-
 @dataclass(frozen=True)
 class BranchStatus:
     kind: str  # closed | ignorable | open | unfinished
@@ -159,8 +153,7 @@ class BranchStatus:
     witness: Optional[str] = None
 
 
-@dataclass(frozen=True)
-class _PairTask:
+class _PairTask(NamedTuple):
     rule: str
     premises: tuple[SignedFormula, ...]
     conclusion: SignedFormula
@@ -195,7 +188,7 @@ class _StatementTable(dict):
         hit = self.conclusions.get(stmt)
         if hit is None:
             hit = _conclude(stmt, fresh, self)
-            if not hit[2]:
+            if hit[0].build not in _NAMING:
                 self.conclusions[stmt] = hit
         return hit
 
@@ -250,50 +243,51 @@ def _eventual(modality: type, neg: bool, minus: bool) -> bool:
 #
 # Every builder takes the premise's decorated view, whether the rule
 # splits, a fresh-nominal callback and a statement builder (_stmt's
-# signature), and returns the conclusion columns (one or two) with the
-# parents of the nominals it made.
+# signature), and returns the conclusion columns (one or two).
 
-_Columns = tuple[list[list[SignedFormula]], dict[str, str]]
+_Columns = list[list[SignedFormula]]
 
 
 def _binary(i, neg, minus, f, split, fresh, at) -> _Columns:
     left = at(i, f.left, neg, minus != isinstance(f, Implies))
     right = at(i, f.right, neg, minus)
-    return ([[left], [right]] if split else [[left, right]]), {}
+    return [[left], [right]] if split else [[left, right]]
 
 
 def _at_elim(i, neg, minus, f, split, fresh, at) -> _Columns:
-    return [[at(f.nominal, f.body, neg, minus)]], {}
+    return [[at(f.nominal, f.body, neg, minus)]]
 
 
 def _double_neg(i, neg, minus, f, split, fresh, at) -> _Columns:
-    return [[at(i, f.body, False, minus)]], {}
+    return [[at(i, f.body, False, minus)]]
 
 
 def _id_minus(i, neg, minus, f, split, fresh, at) -> _Columns:
-    return [[at(i, Neg(f) if neg else f, True)]], {}
+    return [[at(i, Neg(f) if neg else f, True)]]
 
 
 def _exist(i, neg, minus, f, split, fresh, at) -> _Columns:
     t = fresh()
-    return [[_edge(i, f.program, t, neg, at), at(t, f.body, neg, minus)]], {t: i}
+    return [[_edge(i, f.program, t, neg, at), at(t, f.body, neg, minus)]]
 
 
 def _at_intro_minus(i, neg, minus, f, split, fresh, at) -> _Columns:
-    t = fresh()
-    return [[at(t, f, neg, minus)]], {t: i}
+    return [[at(fresh(), f, neg, minus)]]
+
+
+_NAMING = (_exist, _at_intro_minus)  # the builders that make a nominal
 
 
 def _unfold(i, neg, minus, f, split, fresh, at) -> _Columns:
-    return [[at(i, unfold(f), neg, minus)]], {}
+    return [[at(i, unfold(f), neg, minus)]]
 
 
 def _star(i, neg, minus, f, split, fresh, at) -> _Columns:
     step = unfold(f)
     now, later = at(i, step.left, neg, minus), at(i, step.right, neg, minus)
     if split:
-        return [[now], [at(i, step.left, neg, not minus), later]], {}
-    return [[now, later]], {}
+        return [[now], [at(i, step.left, neg, not minus), later]]
+    return [[now, later]]
 
 
 class _Rule(NamedTuple):
@@ -348,8 +342,8 @@ def _dispatch(stmt: SignedFormula, view: Optional[tuple]) -> Optional[tuple[_Rul
     universal atomic modalities have none; plain raw roots are prefixed by
     the at-intro pair rule."""
     if view is None:
-        # a minus raw root is prefixed by a fresh nominal born at the root
-        return (_AT_INTRO_MINUS, (ROOT_ORIGIN, False, True, stmt.formula)) if stmt.minus else None
+        # a minus raw root is prefixed by a fresh nominal
+        return (_AT_INTRO_MINUS, (None, False, True, stmt.formula)) if stmt.minus else None
     _, neg, minus, body = view
     if not minus and _edge_target(neg, body) is not None:
         return None  # a relational literal
@@ -360,12 +354,11 @@ def _dispatch(stmt: SignedFormula, view: Optional[tuple]) -> Optional[tuple[_Rul
 
 def _conclude(
     stmt: SignedFormula, fresh: Callable[[], str], at: Callable[..., SignedFormula] = _stmt
-) -> tuple[str, list[list[SignedFormula]], dict[str, str]]:
-    """(rule name, conclusion columns, fresh nominals' parents) of the
-    destructive rule a statement is premise of, built through at."""
+) -> tuple[_Rule, _Columns]:
+    """The destructive rule a statement is premise of, with its conclusion
+    columns built through at."""
     rule, view = _dispatch(stmt, _view(stmt))
-    columns, parents = rule.build(*view, rule.tier == _TIER_BRANCHING, fresh, at)
-    return rule.name, columns, parents
+    return rule, rule.build(*view, rule.tier == _TIER_BRANCHING, fresh, at)
 
 
 # ---------------------------------------------------------------------------
@@ -373,21 +366,18 @@ def _conclude(
 
 
 class Branch:
-    """One tableau branch: an ordered, duplicate-free statement set with
-    the agenda, the nominal bookkeeping for the loop-check, and the
-    origin tree of generated nominals."""
+    """One tableau branch: an ordered, duplicate-free statement set, each
+    statement mapped to the mask of the split levels its derivation rests
+    on, with the agenda and the nominal bookkeeping for the loop-check."""
 
     def __init__(self, closure: frozenset[Formula], signature: Signature, fresh_start: int, branch_id: int = 0):
         self.closure = closure
         self.signature = signature
         self.branch_id = branch_id
         self.table = _StatementTable()  # shared by every branch of the proof
-        self.formulas: list[BranchFormula] = []
-        self.index: dict[SignedFormula, BranchFormula] = {}
-        self.shared = 0  # leading formulas whose objects another branch holds
+        self.index: dict[SignedFormula, int] = {}  # statement -> its deps mask
         self.nominal_order: list[str] = []
         self.position: dict[str, int] = {}  # nominal -> index in nominal_order
-        self.generation: dict[str, str] = {}
         self.nominal_deps: dict[str, int] = {}  # mask of the first statement naming it
         # Per-nominal decorated closure statements; the loop-check compares
         # these sets, so they are maintained incrementally (growing only).
@@ -420,11 +410,8 @@ class Branch:
     def contains(self, stmt: SignedFormula) -> bool:
         return stmt in self.index
 
-    def first_occurrence(self, nominal: str) -> int:
-        return self.position[nominal]
-
     def statements(self) -> list[SignedFormula]:
-        return [bf.statement for bf in self.formulas]
+        return list(self.index)
 
     def copy(self, branch_id: int) -> "Branch":
         clone = Branch.__new__(Branch)
@@ -432,12 +419,9 @@ class Branch:
         clone.signature = self.signature
         clone.branch_id = branch_id
         clone.table = self.table
-        clone.formulas = list(self.formulas)
         clone.index = dict(self.index)
-        self.shared = clone.shared = len(self.formulas)
         clone.nominal_order = list(self.nominal_order)
         clone.position = dict(self.position)
-        clone.generation = dict(self.generation)
         clone.nominal_deps = dict(self.nominal_deps)
         clone.cl_statements = {n: set(s) for n, s in self.cl_statements.items()}
         clone.raw_plain = list(self.raw_plain)
@@ -459,11 +443,10 @@ class Branch:
         while True:
             name = f"t{self.fresh_counter}"
             self.fresh_counter += 1
-            if name not in self.generation:
+            if name not in self.position:
                 return name
 
-    def _register_nominal(self, name: str, parent: str, deps: int) -> None:
-        self.generation[name] = parent
+    def _register_nominal(self, name: str, deps: int) -> None:
         self.nominal_deps[name] = deps
         self.position[name] = len(self.nominal_order)
         self.nominal_order.append(name)
@@ -474,12 +457,7 @@ class Branch:
 
     # -- insertion
 
-    def add(
-        self,
-        stmt: SignedFormula,
-        fresh_parents: Optional[dict[str, str]] = None,
-        deps: int = 0,
-    ) -> bool:
+    def add(self, stmt: SignedFormula, deps: int = 0) -> bool:
         """Insert a statement unless it is already present, and register it
         in the statement table; deps is the mask of the split levels its
         derivation rests on."""
@@ -488,9 +466,7 @@ class Branch:
         nominal_deps = self.nominal_deps
         for name in stmt.nominals:
             deps |= nominal_deps.get(name, 0)
-        bf = BranchFormula(stmt, len(self.formulas), False, deps)
-        self.formulas.append(bf)
-        self.index[stmt] = bf
+        self.index[stmt] = deps
         view = _view(stmt)
         if view is not None:
             i, neg, minus, body = view
@@ -510,10 +486,10 @@ class Branch:
                 entries.add((False, minus, whole))
             if in_body:
                 entries.add((True, minus, body))
-            self._check_closed(bf, view, table.get((i, body, neg, not minus)))
+            self._check_closed(stmt, deps, view, table.get((i, body, neg, not minus)))
         for name in stmt.nominals:
             if name not in nominal_deps:
-                self._register_nominal(name, (fresh_parents or {}).get(name, ROOT_ORIGIN), deps)
+                self._register_nominal(name, deps)
         hit = _dispatch(stmt, view)
         if hit is not None:
             rule = hit[0]
@@ -523,19 +499,20 @@ class Branch:
         self._register_roles(stmt, view)
         return True
 
-    def _check_closed(self, bf: BranchFormula, view: tuple, partner: Optional[SignedFormula]) -> None:
-        """Close the branch on a clash with bf, an @-statement read in view,
-        recording the clash's mask; partner is bf's statement with the
-        opposite mark, when built.  A statement never built was never
-        inserted, since add registers all."""
+    def _check_closed(
+        self, stmt: SignedFormula, deps: int, view: tuple, partner: Optional[SignedFormula]
+    ) -> None:
+        """Close the branch on a clash with stmt, an @-statement read in
+        view whose mask is deps, recording the clash's mask; partner is
+        stmt with the opposite mark, when built.  A statement never built
+        was never inserted, since add registers all."""
         if self.closed:
             return
-        stmt, deps = bf.statement, bf.deps
         i, neg, minus, body = view
-        other = None if partner is None else self.index.get(partner)
+        other = self.index.get(partner)
         if other is not None:
             reason = f"clash on {stmt}"
-            deps |= other.deps
+            deps |= other
         elif minus:
             if not (neg and isinstance(body, Bottom)):
                 return
@@ -660,13 +637,14 @@ class Branch:
         stats: Optional[ProofStats] = None,
         transcript: Optional[list[str]] = None,
     ) -> Optional["Branch"]:
-        """Apply one admissible rule instance; returns the right sibling
-        when the rule splits the branch."""
+        """Apply the rule instance task, which must be the one next_task
+        just returned; returns the right sibling when the rule splits the
+        branch."""
         if isinstance(task, _PairTask):
             deps = 0
             for premise in task.premises:
-                deps |= self.index[premise].deps
-            self.add(task.conclusion, None, deps)
+                deps |= self.index[premise]
+            self.add(task.conclusion, deps)
             if transcript is not None:
                 transcript.append(
                     f"[b{self.branch_id}] {task.rule}: "
@@ -675,23 +653,16 @@ class Branch:
                 )
             return None
         stmt = task
-        bf = self.index[stmt]
-        if bf.destructive_applied:
-            return None
-        if bf.origin_index < self.shared:  # copy on write
-            bf = BranchFormula(stmt, bf.origin_index, False, bf.deps)
-            self.formulas[bf.origin_index] = self.index[stmt] = bf
-        bf.destructive_applied = True
-        rule, branches, fresh_parents = self.table.conclude(stmt, self.fresh_nominal)
-        if stats is not None and fresh_parents:
-            stats.fresh_nominals += len(fresh_parents)
-        deps = bf.deps
+        rule, branches = self.table.conclude(stmt, self.fresh_nominal)
+        if stats is not None and rule.build in _NAMING:
+            stats.fresh_nominals += 1
+        deps = self.index[stmt]
         if len(branches) == 1:
             for conclusion in branches[0]:
-                self.add(conclusion, fresh_parents, deps)
+                self.add(conclusion, deps)
             if transcript is not None:
                 transcript.append(
-                    f"[b{self.branch_id}] {rule}: {stmt} ==> "
+                    f"[b{self.branch_id}] {rule.name}: {stmt} ==> "
                     + "; ".join(map(str, branches[0]))
                 )
             return None
@@ -703,15 +674,15 @@ class Branch:
         if all(c in self.index for c in left) or all(c in self.index for c in right):
             if transcript is not None:
                 transcript.append(
-                    f"[b{self.branch_id}] {rule}: {stmt} ==> (side already present)"
+                    f"[b{self.branch_id}] {rule.name}: {stmt} ==> (side already present)"
                 )
             return None
         if left == right:
             for conclusion in left:
-                self.add(conclusion, None, deps)
+                self.add(conclusion, deps)
             if transcript is not None:
                 transcript.append(
-                    f"[b{self.branch_id}] {rule}: {stmt} ==> "
+                    f"[b{self.branch_id}] {rule.name}: {stmt} ==> "
                     + "; ".join(map(str, left))
                     + " (identical sides)"
                 )
@@ -720,12 +691,12 @@ class Branch:
         self.depth += 1
         sibling = self.copy(next_branch_id)
         for conclusion in left:
-            self.add(conclusion, None, deps)
+            self.add(conclusion, deps)
         for conclusion in right:
-            sibling.add(conclusion, None, deps)
+            sibling.add(conclusion, deps)
         if transcript is not None:
             transcript.append(
-                f"[b{self.branch_id}] {rule}: {stmt} ==> "
+                f"[b{self.branch_id}] {rule.name}: {stmt} ==> "
                 + "; ".join(map(str, left))
                 + f"  -||-  [b{sibling.branch_id}] "
                 + "; ".join(map(str, right))
@@ -755,7 +726,7 @@ def initialize(roots: Iterable[Union[SignedFormula, Formula]]) -> Branch:
     if normalized and not signature.nominals and not any(sf.minus for sf in normalized):
         # Nothing would introduce a nominal, so at-intro would prefix the
         # roots nowhere: name one world for them.
-        branch._register_nominal(branch.fresh_nominal(), ROOT_ORIGIN, 0)
+        branch._register_nominal(branch.fresh_nominal(), 0)
     return branch
 
 

@@ -26,9 +26,9 @@ def inclusion(i: str, j: str, branch: Branch) -> bool:
     """Definitional nominal inclusion: every decorated closure statement
     at i also holds at j, and j appeared first.  (The engine's loop-check
     uses an incrementally maintained equivalent.)"""
-    if i not in branch.generation or j not in branch.generation:
+    if i not in branch.position or j not in branch.position:
         return False
-    if i == j or branch.first_occurrence(j) >= branch.first_occurrence(i):
+    if i == j or branch.position[j] >= branch.position[i]:
         return False
     for psi in branch.closure:
         for neg in (False, True):
@@ -46,10 +46,10 @@ def ignorable_rescan(branch: Branch) -> Optional[tuple[str, Formula, str]]:
     report the first group unfulfilled at all of its nominals.  (The engine
     reads a record its insertions keep.)"""
     groups: dict[tuple[bool, bool, Formula], list[str]] = {}
-    for bf in branch.formulas:
-        if not isinstance(bf.statement.formula, At):
+    for stmt in branch.statements():
+        if not isinstance(stmt.formula, At):
             continue
-        i, neg, minus, body = _view(bf.statement)
+        i, neg, minus, body = _view(stmt)
         if (
             isinstance(body, (Diamond, Box))
             and isinstance(body.program, Star)

@@ -407,8 +407,7 @@ def test_each_command_loads_only_its_engine(argv, engine):
     assert done.stdout.splitlines()[-1] == repr(sorted(SHARED + engine)), done.stderr
 
 
-# Every name that pdl4/__init__.py imported from its home module before the
-# exports were made lazy.
+# Every name that pdl4/__init__.py exports, by home module.
 EXPORTS = {
     "fourval": "FourValue VALUES cneg4 designated imp4 join_t leq_k leq_t meet_t neg4",
     "oracle": "CeilingExceeded EnumerationSpec OracleError countermodel_search "
@@ -420,7 +419,7 @@ EXPORTS = {
     "ParseError Program PropVar Seq SignedFormula Signature Star Test actions_of cneg "
     "fischer_ladner_closure iff nominals_of parse_formula parse_program propositions_of "
     "render render_program top",
-    "tableau": "Branch BranchFormula BranchStatus CountermodelError ProofStats TableauError "
+    "tableau": "Branch BranchStatus CountermodelError ProofStats TableauError "
     "TableauLimits TableauResult classify extract_model initialize prove_consequence "
     "prove_from_roots prove_validity",
 }

@@ -1,7 +1,7 @@
 import hashlib
 import random
 import re
-from collections import defaultdict
+from collections import defaultdict, deque
 
 from pdl4.generators import random_formula, random_model
 from pdl4.oracle import EnumerationSpec, countermodel_search
@@ -29,11 +29,12 @@ from pdl4.syntax import (
     render,
 )
 from pdl4.tableau import (
-    ROOT_ORIGIN,
     Branch,
     BranchStatus,
     TableauError,
     TableauLimits,
+    _RULES,
+    _TIER_BRANCHING,
     _at_intro_minus,
     _conclude,
     _dispatch,
@@ -86,14 +87,13 @@ class TestInitialize:
         assert branch.contains(SignedFormula(p, minus=True))
         [terminal] = saturate([SignedFormula(p, minus=True)])
         assert terminal.contains(SignedFormula(At("t0", p), minus=True))
-        assert terminal.generation["t0"] == ROOT_ORIGIN
 
     def test_satisfaction_statement_kept_as_is(self):
         branch = initialize([At("i", p)])
         assert branch.contains(SignedFormula(At("i", p)))
         [terminal] = saturate([At("i", p)])
         # no prefixing beyond the self-equality axiom
-        bodies = [bf.statement for bf in terminal.formulas]
+        bodies = terminal.statements()
         assert SignedFormula(At("i", Nominal("i"))) in bodies
         assert len(bodies) == 2
 
@@ -128,15 +128,16 @@ class TestRuleApplications:
 
     def test_duplicate_additions_suppressed(self):
         for branch in saturate([At("i", And(p, p)), At("i", p)]):
-            statements = [bf.statement for bf in branch.formulas]
+            statements = branch.statements()
             assert len(statements) == len(set(statements))
 
     def test_destructive_rules_fire_once(self):
-        for branch in saturate([At("i", And(And(p, q), And(p, q)))]):
-            seen = {}
-            for bf in branch.formulas:
-                assert bf.statement not in seen
-                seen[bf.statement] = bf.destructive_applied
+        # a premise fires on several branches, but once on each
+        r, s = PropVar("r"), PropVar("s")
+        goal = Or(And(p, r), Or(And(p, s), Or(And(q, r), And(q, s))))
+        result = prove_consequence([And(Or(p, q), Or(r, s))], goal, transcript=True)
+        fired = _destructive_firings(result.transcript)
+        assert len({premise for _, premise in fired}) < len(fired) == len(set(fired))
 
     def test_statements_stay_in_working_closure(self):
         # the insertion-time guard raises on any statement escaping the
@@ -185,11 +186,11 @@ class TestRuleApplications:
             bound = 2 * len(branch.closure) + 3 * len(branch.nominal_order)
             for nominal in branch.nominal_order:
                 plain = [
-                    bf.statement.formula.body
-                    for bf in branch.formulas
-                    if isinstance(bf.statement.formula, At)
-                    and not bf.statement.minus
-                    and bf.statement.formula.nominal == nominal
+                    stmt.formula.body
+                    for stmt in branch.statements()
+                    if isinstance(stmt.formula, At)
+                    and not stmt.minus
+                    and stmt.formula.nominal == nominal
                 ]
                 relational = [
                     f
@@ -229,7 +230,7 @@ class TestInclusion:
         ]
         for branch in saturate(roots):
             for k, nominal in enumerate(branch.nominal_order):
-                assert branch.first_occurrence(nominal) == k
+                assert branch.position[nominal] == k
 
     def test_loop_check_blocks_star_expansion(self):
         result = prove_consequence(
@@ -566,11 +567,11 @@ class TestBackjumping:
         [right] = [
             branch
             for branch in saturate([SignedFormula(At("i", Or(p, Diamond(a, q))))])
-            if "t0" in branch.generation
+            if "t0" in branch.position
         ]
         assert right.nominal_deps["t0"] == 1
-        assert right.index[SignedFormula(At("t0", Nominal("t0")))].deps == 1
-        assert right.index[SignedFormula(At("t0", q))].deps == 1
+        assert right.index[SignedFormula(At("t0", Nominal("t0")))] == 1
+        assert right.index[SignedFormula(At("t0", q))] == 1
 
     def test_pruned_proofs_have_no_two_world_countermodel(self):
         rng = random.Random(4_170)
@@ -598,6 +599,22 @@ def _first_split(roots):
     return out
 
 
+def _destructive_firings(transcript):
+    """(branch, premise) of every destructive rule fired on each branch's
+    path from the root, read off a transcript: a split's right sibling
+    starts with its branch's firings so far."""
+    names = {rule.name for rule in _RULES.values()} | {"at-intro-minus"}
+    path = defaultdict(list)
+    for line in transcript:
+        hit = re.match(r"\[(b\d+)\] (\S+): (.*?) ==> ", line)
+        if hit and hit.group(2) in names:
+            path[hit.group(1)].append(hit.group(3))
+            sibling = re.search(r" -\|\|-  \[(b\d+)\] ", line)
+            if sibling:
+                path[sibling.group(1)] = list(path[hit.group(1)])
+    return [(branch, premise) for branch, premises in path.items() for premise in premises]
+
+
 def _run_out(branch):
     """Saturate a branch that makes no further split."""
     while (task := branch.next_task()) is not None:
@@ -619,17 +636,45 @@ class TestStatementSharing:
         assert left.table("i", Neg(p)) is right.table("i", p, True)
         assert initialize([At("i", p)]).table is not initialize([At("i", p)]).table
 
-    def test_a_destructive_rule_marks_only_its_own_side(self):
+    def test_a_premise_pending_at_a_split_fires_once_on_each_side(self):
         r, s = PropVar("r"), PropVar("s")
         pending = SignedFormula(At("i", Or(r, s)))
         for fired_first in (0, 1):
             sides = _first_split([At("i", Or(p, q)), pending.formula])
-            assert sides[0].index[pending] is sides[1].index[pending]  # shared
-            sides[fired_first].apply(pending, 99)
-            assert sides[fired_first].index[pending].destructive_applied
-            assert not sides[1 - fired_first].index[pending].destructive_applied
-            sides[1 - fired_first].apply(pending, 100)
-            assert sides[1 - fired_first].index[pending].destructive_applied
+            assert all(pending in side.queues[_TIER_BRANCHING] for side in sides)
+            for side in (sides[fired_first], sides[1 - fired_first]):
+                # the side and every branch its own splits make
+                stack, fired = [side], 0
+                while stack:
+                    branch = stack.pop()
+                    while (task := branch.next_task()) is not None:
+                        fired += task == pending
+                        sibling = branch.apply(task, 99)
+                        if sibling is not None:
+                            stack.append(sibling)
+                assert fired == 1
+
+    def test_split_sides_share_only_the_proof_wide_objects(self):
+        roots = [
+            At("i", Or(p, q)),
+            At("i", Box(a, PropVar("r"))),
+            At("i", Diamond(a, Nominal("j"))),
+            At("i", Nominal("j")),
+        ]
+        left, right = _first_split(roots)
+        mine, theirs = vars(left), vars(right)
+        assert mine.keys() == theirs.keys()
+        shared = ("closure", "signature", "table")
+        for name in shared:
+            assert mine[name] is theirs[name], name
+        for name, value in mine.items():
+            if name not in shared and isinstance(value, (list, dict, set, deque)):
+                assert value is not theirs[name], name
+        assert all(x is not y for x, y in zip(left.queues, right.queues))  # the agenda
+        for name in ("cl_statements", "universals", "edges", "equalities", "literals_at"):
+            assert mine[name], name
+            for key, value in mine[name].items():
+                assert value is not theirs[name][key], (name, key)
 
     def test_existential_conclusions_are_not_kept(self):
         # Gate problem 110, [a*;a](...): sibling branches expand the same
@@ -944,9 +989,10 @@ def test_rule_table_gives_the_listed_columns():
     for premises, columns in _RULE_INSTANCES:
         if isinstance(premises, list):
             continue
-        _, built, parents = _conclude(premises, lambda: "t0")
+        made = []
+        _, built = _conclude(premises, lambda: made.append("t0") or "t0")
         assert built == columns, str(premises)
-        assert parents == {}
+        assert not made, str(premises)  # no rule here makes a nominal
         checked += 1
     assert checked == 35
 
@@ -1188,3 +1234,20 @@ def test_gate_corpus_digest():
     assert hashlib.sha256(repr(rows).encode()).hexdigest() == (
         "2c75abcd7ee7c6b2679344b0d081bae1b00dad907a6e7153183a03f74e046f14"
     )
+
+
+def test_gate_fires_each_destructive_premise_once_per_branch():
+    # No flag guards a destructive rule; the agenda alone fires a premise
+    # at most once on each path from the root (see the tableau module
+    # docstring).
+    from test_acceptance import _consequence_corpus
+
+    fired = [
+        (k, branch, premise)
+        for k, (hypotheses, goal) in enumerate(_consequence_corpus())
+        for branch, premise in _destructive_firings(
+            prove_consequence(hypotheses, goal, transcript=True).transcript
+        )
+    ]
+    assert len(fired) > 2000
+    assert len(fired) == len(set(fired))
