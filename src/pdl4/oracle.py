@@ -53,7 +53,6 @@ At one world that is the raw one-world space; above it, the pruned one.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
 from typing import AbstractSet, Iterator, Optional, Sequence, Union
@@ -79,6 +78,7 @@ from .syntax import (
     Signature,
     Star,
     Test,
+    _record,
 )
 
 DEFAULT_CEILING = 1 << 27
@@ -103,7 +103,7 @@ class OracleError(RuntimeError):
     rejects; indicates an oracle defect."""
 
 
-@dataclass(frozen=True)
+@_record
 class EnumerationSpec:
     """What to enumerate: a signature, a world bound, and either
     exhaustive mode (sample_count None) or seeded random sampling."""

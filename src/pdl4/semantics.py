@@ -27,7 +27,6 @@ evaluation (formula and program labels are per-call).
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from typing import Iterable, Mapping, Union
 
 from .fourval import FourValue, designated, imp4, join_t, meet_t, neg4
@@ -51,6 +50,7 @@ from .syntax import (
     Signature,
     Star,
     Test,
+    _record,
 )
 
 Pair = tuple[str, str]
@@ -77,7 +77,7 @@ def _freeze_val(val: Mapping[str, Iterable[str]]) -> dict[str, frozenset[str]]:
     return {name: frozenset(worlds) for name, worlds in val.items()}
 
 
-@dataclass(frozen=True)
+@_record
 class Model:
     """Finite model with positive/negative relations and valuations and a
     total nomination map.
@@ -202,7 +202,7 @@ class _Bits:
         )
 
 
-@dataclass(frozen=True)
+@_record
 class ProgramDenotation:
     """Interpretation of a program: the positive relation and the
     *complement* of the negative relation, matching how negated modal
@@ -212,7 +212,7 @@ class ProgramDenotation:
     neg_complement: frozenset[Pair]
 
 
-@dataclass(frozen=True)
+@_record
 class FourModel:
     """The same information as a Model, presented as four-valued relation
     and valuation functions.  The valuation is total on

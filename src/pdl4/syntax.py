@@ -26,7 +26,6 @@ parse time and re-sugared by the printer.
 from __future__ import annotations
 
 import re
-from dataclasses import MISSING, dataclass, fields
 from typing import Iterable, Optional, Union
 
 
@@ -37,21 +36,23 @@ from typing import Iterable, Optional, Union
 class _Node:
     """Shared behaviour of syntax nodes.
 
-    A node is built in one call, by the constructor that ``_node``
+    A node is built in one call, by the constructor that ``_record``
     generates for its class.  That constructor writes the fields, in
-    declaration order, straight into the instance dict, and with them two
+    declaration order, straight into the instance dict, and with them the
     values cached for the node's lifetime:
 
-    - ``_hash``, the hash of the tuple of the fields: bit for bit the hash
-      the dataclass would generate, so a node and the tuple of its fields
-      hash alike.  A hash of the children's cached ints would differ, since
-      ``hash(int)`` reduces modulo 2**61 - 1.
+    - ``_hash``, the hash of the tuple of the fields, so a node and the
+      tuple of its fields hash alike.  A hash of the children's cached ints
+      would differ, since ``hash(int)`` reduces modulo 2**61 - 1.
     - ``nominals``, the nominal names occurring in the node (at atom or @
       position) in leftmost-first order without repeats, merged from the
       children's.
 
     Hashing a node and listing its nominals therefore cost O(1) at any
-    depth.  Equality, ``repr`` and ``fields()`` stay the dataclass's."""
+    depth.  Equality compares the cached hashes, then the field tuples,
+    recursing into the children; where that recursion would pass the
+    interpreter's limit, both trees are walked from an explicit stack
+    instead, so equality has no depth limit either."""
 
     _nominal_field: Optional[str] = None  # the field holding a nominal name
     nominals: tuple[str, ...]
@@ -59,49 +60,89 @@ class _Node:
     def __hash__(self) -> int:
         return self._hash
 
+    def _walk(self, other: "_Node") -> bool:
+        stack = [(self, other)]
+        while stack:
+            x, y = stack.pop()
+            if x.__class__ is not y.__class__ or x._hash != y._hash:
+                return False
+            for name in x.__match_args__:
+                mine, theirs = x.__dict__[name], y.__dict__[name]
+                if isinstance(mine, _Node):
+                    if mine is not theirs:  # a shared subtree is equal unwalked
+                        stack.append((mine, theirs))
+                elif mine != theirs:
+                    return False
+        return True
+
     def __reduce__(self):
-        # Rebuild from the fields: a cached string hash is only valid in
-        # the process that computed it.
-        return type(self), tuple(getattr(self, f.name) for f in fields(self))
+        # Rebuild from the fields: a cached hash is valid in one process only.
+        return type(self), tuple(self.__dict__[name] for name in self.__match_args__)
 
 
-def _node(cls):
-    """Declare a syntax node: a frozen dataclass without the dataclass's
-    ``__init__``, given instead one generated constructor that sets the
-    fields and the cached values of ``_Node`` in a single call.  A field
-    annotated ``Formula`` or ``Program`` is a child: its ``nominals`` are
-    merged in, and ``_children`` yields it."""
-    cls = dataclass(frozen=True, init=False)(cls)
-    cls.__hash__ = _Node.__hash__  # the dataclass installs a recursive one
-    # For At the source reads: d = self.__dict__; d['nominal'] = nominal;
-    # d['body'] = body; d['_hash'] = hash((nominal, body, )); then found,
-    # merged from (nominal,) and body.nominals, goes to d['nominals'].
-    params, body, namespace = ["self"], ["d = self.__dict__"], {}
-    for f in fields(cls):
-        if f.default is MISSING:
-            params.append(f.name)
-        else:
-            params.append(f"{f.name}=_default_{f.name}")
-            namespace[f"_default_{f.name}"] = f.default
-        body.append(f"d[{f.name!r}] = {f.name}")
-    values = "".join(f"{f.name}, " for f in fields(cls))
-    body.append(f"d['_hash'] = hash(({values}))")
-    cls._child_fields = tuple(f.name for f in fields(cls) if f.type in ("Formula", "Program"))
-    parts = [f"{name}.nominals" for name in cls._child_fields]
-    if cls._nominal_field is not None:
-        parts.insert(0, f"({cls._nominal_field},)")
-    body.append(f"found = {parts[0] if parts else '()'}")
-    for part in parts[1:]:
-        body.append(f"more = {part}")
-        body.append("if more: found = tuple(dict.fromkeys(found + more)) if found else more")
-    body.append("d['nominals'] = found")
-    exec(f"def __init__({', '.join(params)}):\n    " + "\n    ".join(body), namespace)
-    cls.__init__ = namespace["__init__"]
-    cls.__init__.__qualname__ = f"{cls.__qualname__}.__init__"
+def _refuse(self, name: str, *value: object) -> None:
+    raise AttributeError(f"cannot {'assign to' if value else 'delete'} field {name!r}")
+
+
+def _record(cls=None, *, frozen: bool = True):
+    """Declare a record class: its annotated fields, in order, are its
+    ``__match_args__``, a class attribute of a field's name its default.
+    One ``exec`` writes ``__init__`` (which sets the fields, then calls
+    any ``__post_init__``), ``__repr__``, ``__eq__`` over the field tuple
+    (see ``_Node`` for a deep tree) and, but for a node, ``__hash__``
+    (None if mutable).  A frozen record refuses assignment and deletion.
+    A node's child is a field annotated ``Formula`` or ``Program``."""
+    if cls is None:
+        return lambda cls: _record(cls, frozen=frozen)
+    annotations = cls.__dict__.get("__annotations__", {})
+    names = cls.__match_args__ = tuple(annotations)
+    namespace = {f"_default_{name}": cls.__dict__[name] for name in names if name in cls.__dict__}
+    namespace["_set"] = object.__setattr__
+    params = ["self"] + [f"{n}=_default_{n}" if f"_default_{n}" in namespace else n for n in names]
+    shown = ", ".join(f"{name}={{self.{name}!r}}" for name in names)
+    methods = [f'def __repr__(self):\n    return f"{{self.__class__.__qualname__}}({shown})"']
+    mine, theirs = ("".join(f"{side}.{n}, " for n in names) for side in ("self", "other"))
+    compare = f"return ({mine}) == ({theirs})"
+    # A node's constructor fills its instance dict, for At: d = self.__dict__;
+    # d['nominal'] = nominal; d['body'] = body; d['_hash'] = ...; d['nominals'].
+    # Other records set attributes, which read faster than from a built dict.
+    node = issubclass(cls, _Node)
+    store = "d[{0!r}] = {0}" if node else "_set(self, {0!r}, {0})"
+    body = (["d = self.__dict__"] if node else []) + [store.format(name) for name in names]
+    if node:
+        body.append(f"d['_hash'] = hash(({''.join(f'{name}, ' for name in names)}))")
+        cls._child_fields = tuple(n for n in names if annotations[n] in ("Formula", "Program"))
+        parts = [f"{name}.nominals" for name in cls._child_fields]
+        if cls._nominal_field is not None:
+            parts.insert(0, f"({cls._nominal_field},)")
+        body.append(f"found = {parts[0] if parts else '()'}")
+        for part in parts[1:]:
+            body.append(f"more = {part}")
+            body.append("if more: found = tuple(dict.fromkeys(found + more)) if found else more")
+        body.append("d['nominals'] = found")
+        # Past the recursion limit, the frames nearest it walk instead.
+        compare = (
+            "if self._hash != other._hash:\n        return False\n    try:\n        "
+            f"{compare}\n    except RecursionError:\n        return self._walk(other)"
+        )
+    else:
+        methods.append(f"def __hash__(self):\n    return hash(({mine}))" if frozen else "__hash__ = None")
+    methods.append(
+        "def __eq__(self, other):\n    if other.__class__ is not self.__class__:\n"
+        f"        return NotImplemented\n    {compare}"
+    )
+    if hasattr(cls, "__post_init__"):
+        body.append("self.__post_init__()")
+    methods.append(f"def __init__({', '.join(params)}):\n    " + "\n    ".join(body))
+    exec("\n".join(methods), namespace, made := {})
+    for name, method in made.items():
+        setattr(cls, name, method)
+    if frozen:
+        cls.__setattr__ = cls.__delattr__ = _refuse
     return cls
 
 
-@_node
+@_record
 class Formula(_Node):
     """Base class for formula nodes."""
 
@@ -109,7 +150,7 @@ class Formula(_Node):
         return render(self)
 
 
-@_node
+@_record
 class Program(_Node):
     """Base class for program nodes."""
 
@@ -117,24 +158,24 @@ class Program(_Node):
         return render_program(self)
 
 
-@_node
+@_record
 class PropVar(Formula):
     name: str
 
 
-@_node
+@_record
 class Nominal(Formula):
     name: str
 
     _nominal_field = "name"
 
 
-@_node
+@_record
 class Bottom(Formula):
     pass
 
 
-@_node
+@_record
 class Neg(Formula):
     """Paraconsistent negation.  Classical negation is the derived form
     ``Implies(f, Bottom())`` and never a distinct node."""
@@ -142,25 +183,25 @@ class Neg(Formula):
     body: Formula
 
 
-@_node
+@_record
 class And(Formula):
     left: Formula
     right: Formula
 
 
-@_node
+@_record
 class Or(Formula):
     left: Formula
     right: Formula
 
 
-@_node
+@_record
 class Implies(Formula):
     left: Formula
     right: Formula
 
 
-@_node
+@_record
 class At(Formula):
     nominal: str
     body: Formula
@@ -168,48 +209,48 @@ class At(Formula):
     _nominal_field = "nominal"
 
 
-@_node
+@_record
 class Diamond(Formula):
     program: Program
     body: Formula
 
 
-@_node
+@_record
 class Box(Formula):
     program: Program
     body: Formula
 
 
-@_node
+@_record
 class Atomic(Program):
     name: str
 
 
-@_node
+@_record
 class Seq(Program):
     first: Program
     second: Program
 
 
-@_node
+@_record
 class Choice(Program):
     left: Program
     right: Program
 
 
-@_node
+@_record
 class Star(Program):
     body: Program
 
 
-@_node
+@_record
 class Test(Program):
     condition: Formula
 
     __test__ = False  # keep pytest from collecting the AST node
 
 
-@_node
+@_record
 class SignedFormula(_Node):
     """A formula or its minus form.  ``minus`` applies at top level only;
     a minus-marked formula asserts global *failure* of the body."""
@@ -242,7 +283,7 @@ def iff(f: Formula, g: Formula) -> Formula:
 # Signatures and name collection
 
 
-@dataclass(frozen=True)
+@_record
 class Signature:
     """The vocabulary of a formula set or model: three pairwise disjoint
     name sets."""

@@ -77,7 +77,6 @@ from __future__ import annotations
 import re
 import time
 from collections import deque
-from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence, Union
 
 from .semantics import Model, globally_satisfies
@@ -102,6 +101,7 @@ from .syntax import (
     Star,
     Test,
     fischer_ladner_closure,
+    _record,
     unfold,
 )
 
@@ -124,7 +124,7 @@ class CountermodelError(TableauError):
     """An extracted countermodel failed verification by the checker."""
 
 
-@dataclass
+@_record(frozen=False)
 class TableauLimits:
     """Defensive bounds; saturation is expected to terminate well within
     them, so hitting a limit signals a defect or an extreme input."""
@@ -133,7 +133,7 @@ class TableauLimits:
     time_limit: Optional[float] = None
 
 
-@dataclass
+@_record(frozen=False)
 class ProofStats:
     steps: int = 0
     branches: int = 1
@@ -145,7 +145,7 @@ class ProofStats:
     elapsed: float = 0.0
 
 
-@dataclass(frozen=True)
+@_record
 class BranchStatus:
     kind: str  # closed | ignorable | open | unfinished
     ignorable_kind: Optional[str] = None
@@ -861,13 +861,17 @@ def extract_model(branch: Branch) -> Model:
 # The prover
 
 
-@dataclass
+@_record(frozen=False)
 class TableauResult:
     verdict: str  # proved | refuted | exhausted
     countermodel: Optional[Model] = None
     open_branch: Optional[Branch] = None
-    stats: ProofStats = field(default_factory=ProofStats)
+    stats: Optional[ProofStats] = None  # a fresh ProofStats when None
     transcript: Optional[list[str]] = None
+
+    def __post_init__(self) -> None:
+        if self.stats is None:
+            self.stats = ProofStats()
 
     @property
     def proved(self) -> bool:

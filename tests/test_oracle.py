@@ -2,7 +2,6 @@ import os
 import random
 import subprocess
 import sys
-from dataclasses import fields
 from itertools import product
 from math import prod
 
@@ -235,7 +234,7 @@ def _drop_negations(node):
         return _drop_negations(node.body)
     if not isinstance(node, (Formula, Program)):
         return node
-    return type(node)(*(_drop_negations(getattr(node, f.name)) for f in fields(node)))
+    return type(node)(*(_drop_negations(getattr(node, name)) for name in node.__match_args__))
 
 
 def _is_restricted_growth(nomination):

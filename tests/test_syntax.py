@@ -4,7 +4,6 @@ import random
 import subprocess
 import sys
 import weakref
-from dataclasses import FrozenInstanceError, fields
 
 import pytest
 from hypothesis import given, settings
@@ -284,8 +283,8 @@ class TestNameCollection:
 def _nodes(x):
     """x and every node below it, in leftmost-first order."""
     out = [x]
-    for f in fields(x):
-        value = getattr(x, f.name)
+    for name in x.__match_args__:
+        value = getattr(x, name)
         if isinstance(value, (Formula, Program)):
             out.extend(_nodes(value))
     return out
@@ -317,7 +316,7 @@ class TestCachedNodeValues:
             assert copy == x and copy is not x
             assert hash(copy) == hash(x)
             for node in _nodes(x):
-                values = tuple(getattr(node, f.name) for f in fields(node))
+                values = tuple(getattr(node, name) for name in node.__match_args__)
                 assert hash(node) == hash(values)
 
     def test_signed_formula_hash(self):
@@ -337,7 +336,7 @@ class TestCachedNodeValues:
     def test_rebuilt_from_field_values(self):
         for x in self._corpus():
             for node in _nodes(x):
-                copy = type(node)(*(getattr(node, f.name) for f in fields(node)))
+                copy = type(node)(*(getattr(node, name) for name in node.__match_args__))
                 assert copy == node and copy is not node
                 assert hash(copy) == hash(node)
                 assert copy.nominals == node.nominals
@@ -345,11 +344,25 @@ class TestCachedNodeValues:
 
     def test_fields_are_frozen(self):
         f = parse_formula("@'i <a*>(p & 'j)")
-        with pytest.raises(FrozenInstanceError):
+        with pytest.raises(AttributeError, match="field 'nominal'"):
             f.nominal = "j"
-        with pytest.raises(FrozenInstanceError):
+        with pytest.raises(AttributeError, match="field 'minus'"):
             SignedFormula(f).minus = True
         assert f == parse_formula("@'i <a*>(p & 'j)")
+
+    def test_trees_past_the_recursion_limit_compare(self):
+        text = " & ".join(f"p{k % 97}" for k in range(5000))
+        left, right = parse_formula(text), parse_formula(text)
+        assert left == right and left is not right and {left: 1}[right] == 1
+        for changed in ("q & " + text[text.index("&") + 2:], text[:-2] + "q"):
+            assert left != parse_formula(changed)
+        chains = []
+        for leaf in (p, PropVar("p"), q):
+            chain = leaf
+            for _ in range(5000):
+                chain = Neg(chain)
+            chains.append(chain)
+        assert chains[0] == chains[1] and chains[0] != chains[2]
 
     def test_signed_formula_arguments(self):
         f = parse_formula("<a>'i")
